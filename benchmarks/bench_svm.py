@@ -2,6 +2,9 @@
 pure-numpy fallback, on problem sizes matching real aggregation rounds
 (M = two classes' worth of participating clients).
 
+Every fit must converge, and when both backends are present they must
+reach identical objectives; otherwise the benchmark raises.
+
 Run:  python3 benchmarks/bench_svm.py
 """
 
@@ -20,18 +23,30 @@ def make_problem(m_per_side, d, seed):
     neg = -1.5 * direction + rng.standard_normal((m_per_side, d))
     x = np.vstack([pos, neg])
     y = np.concatenate([np.ones(m_per_side), -np.ones(m_per_side)])
-    return SvmProblem(x, y, np.ones(2 * m_per_side), 1.0)
+    return SvmProblem(x, y, 1.0)
 
 
 def time_backend(sweep_fn, problems, repeats=3):
     best = float("inf")
-    model = None
+    models = []
     for _ in range(repeats):
         start = time.perf_counter()
-        for problem in problems:
-            model = fit_binary(problem, sweep_fn=sweep_fn)
+        models = [fit_binary(problem, sweep_fn=sweep_fn) for problem in problems]
         best = min(best, time.perf_counter() - start)
-    return best, model
+    return best, models
+
+
+def check_fits(models, m, d):
+    """Raise unless every fit converged and the backends agree exactly."""
+    for name, fits in models.items():
+        stalled = [i for i, model in enumerate(fits) if not model.converged]
+        if stalled:
+            raise RuntimeError(f"M = {m}, d = {d}: {name} fits {stalled} did not converge")
+    if len(models) == 2:
+        for i, (c, py) in enumerate(zip(models["c"], models["python"])):
+            if c.primal_value != py.primal_value:
+                raise RuntimeError(f"M = {m}, d = {d}, fit {i}: backends disagree "
+                                   f"({c.primal_value!r} vs {py.primal_value!r})")
 
 
 def main():
@@ -61,8 +76,8 @@ def main():
             print(f" {1e3 * times[name]:>12.2f}", end="")
         if len(backends) == 2:
             print(f" {times['python'] / times['c']:>7.1f}x", end="")
-            assert models["c"].primal_value == models["python"].primal_value
         print()
+        check_fits(models, 2 * m_per_side, d)
 
 
 if __name__ == "__main__":

@@ -49,6 +49,7 @@ from .strategies import (
     ServerStrategy,
     run_round,
 )
+from .svm import format_diagnostics
 
 log = logging.getLogger(__name__)
 
@@ -412,9 +413,9 @@ def _run_seed(cfg: RunConfig, seed: int, writer, fh, diag_path: Path | None) -> 
             acc_rounds.append(t + 1)
             writer.writerow(row.as_csv())
             fh.flush()
-            if diag_path is not None and rec.diagnostics:
-                with open(diag_path, "a") as dfh:
-                    dfh.write(f"# seed {seed} round {t + 1}\n{rec.diagnostics}\n")
+        if diag_path is not None and rec.svm is not None:
+            with open(diag_path, "a") as dfh:
+                dfh.write(f"# seed {seed} round {t + 1}\n{format_diagnostics(rec.svm)}\n")
 
     crossing = rounds_to_target(acc_series, cfg.target_accuracy)
     reached = None if crossing is None else acc_rounds[crossing - 1]

@@ -11,6 +11,7 @@ the test suite.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Sequence
@@ -23,18 +24,47 @@ CHECKPOINT_MAGIC = b"FSVM"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
 class Model:
-    """Encoder layers as (weight, bias) pairs plus the logit matrix.
+    """Every parameter in one contiguous float64 vector ``params``, with
+    the encoder layers as (weight, bias) pairs and the logit matrix as
+    reshaped views into it.
 
-    Layer weights have shape (out, in); activations are row vectors, so a
-    layer computes ``relu(x @ W.T + b)`` except the last encoder layer,
-    which stays linear. The same structure doubles as the container for
-    model-shaped gradients.
+    The vector order is the checkpoint order: encoder layers in order,
+    weight then bias, then the logit matrix, all row-major. Layer weights
+    have shape (out, in); activations are row vectors, so a layer
+    computes ``relu(x @ W.T + b)`` except the last encoder layer, which
+    stays linear. The same structure doubles as the container for
+    model-shaped gradients. The constructor copies its inputs into a new
+    buffer; ``with_params`` binds an existing one.
     """
 
-    encoder: list[tuple[Tensor, Tensor]]
-    logit_matrix: Tensor
+    def __init__(self, encoder: Sequence[tuple[Tensor, Tensor]], logit_matrix: Tensor):
+        arrays = [as_tensor(a) for layer in encoder for a in layer] + [as_tensor(logit_matrix)]
+        self._bind(tuple(a.shape for a in arrays),
+                   np.concatenate([a.ravel() for a in arrays]))
+
+    def _bind(self, layout: tuple[tuple[int, ...], ...], params: Tensor) -> None:
+        params = np.ascontiguousarray(params, dtype=np.float64)
+        size = sum(math.prod(shape) for shape in layout)
+        if params.shape != (size,):
+            raise ValueError(f"flat vector has {params.size} entries, model needs {size}")
+        views = []
+        offset = 0
+        for shape in layout:
+            end = offset + math.prod(shape)
+            views.append(params[offset:end].reshape(shape))
+            offset = end
+        self.layout = layout
+        self.params = params
+        self.encoder = list(zip(views[0:-1:2], views[1:-1:2]))
+        self.logit_matrix = views[-1]
+
+    def with_params(self, flat: Tensor) -> "Model":
+        """A model of this layout bound to ``flat`` without copying it;
+        raises ValueError when the length does not match."""
+        model = Model.__new__(Model)
+        model._bind(self.layout, flat)
+        return model
 
     @property
     def num_classes(self) -> int:
@@ -49,8 +79,7 @@ class Model:
         return self.encoder[0][0].shape[1]
 
     def copy(self) -> "Model":
-        return Model([(w.copy(), b.copy()) for w, b in self.encoder],
-                     self.logit_matrix.copy())
+        return self.with_params(self.params.copy())
 
 
 @dataclass
@@ -85,20 +114,6 @@ def init_model(input_dim: int, hidden_dims: Sequence[int], embedding_dim: int,
     bound = np.sqrt(6.0 / (embedding_dim + num_classes))
     logit = rng.uniform(-bound, bound, size=(num_classes, embedding_dim))
     return Model(encoder, logit)
-
-
-def structurally_compatible(a: Model, b: Model) -> bool:
-    if len(a.encoder) != len(b.encoder):
-        return False
-    for (wa, ba), (wb, bb) in zip(a.encoder, b.encoder):
-        if wa.shape != wb.shape or ba.shape != bb.shape:
-            return False
-    return a.logit_matrix.shape == b.logit_matrix.shape
-
-
-def require_compatible(a: Model, b: Model, what: str = "models") -> None:
-    if not structurally_compatible(a, b):
-        raise ValueError(f"structurally incompatible {what}")
 
 
 def encode(model: Model, inputs: Tensor) -> Tensor:
@@ -151,14 +166,15 @@ def encoder_backward(model: Model, cache, d_emb: Tensor) -> Model:
     acts, pre = cache
     last = len(model.encoder) - 1
     dh = d_emb
-    grads: list[tuple[Tensor, Tensor]] = [None] * len(model.encoder)
-    for i in range(len(model.encoder) - 1, -1, -1):
-        w, _ = model.encoder[i]
+    grads = model.with_params(np.zeros(model.params.size))
+    for i in range(last, -1, -1):
         dz = dh if i == last else dh * (pre[i] > 0.0)
-        grads[i] = (dz.T @ acts[i], dz.sum(axis=0))
+        gw, gb = grads.encoder[i]
+        gw[...] = dz.T @ acts[i]
+        gb[...] = dz.sum(axis=0)
         if i > 0:
-            dh = dz @ w
-    return Model(grads, np.zeros_like(model.logit_matrix))
+            dh = dz @ model.encoder[i][0]
+    return grads
 
 
 def loss_and_gradient(model: Model, batch: Batch) -> tuple[float, Model]:
@@ -185,51 +201,15 @@ def loss_and_gradient(model: Model, batch: Batch) -> tuple[float, Model]:
     dscores = probs.copy()
     dscores[np.arange(bsz), y] -= 1.0
     dscores /= bsz
-    d_logit = dscores.T @ emb
     grads = encoder_backward(model, cache, dscores @ model.logit_matrix)
-    return loss, Model(grads.encoder, d_logit)
-
-
-def flatten_params(model: Model) -> Tensor:
-    """Fixed flattening order: encoder layers in order, weight then bias,
-    then the logit matrix, all row-major."""
-    parts = []
-    for w, b in model.encoder:
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    parts.append(model.logit_matrix.ravel())
-    return np.concatenate(parts)
-
-
-def unflatten_params(template: Model, flat: Tensor) -> Model:
-    flat = np.asarray(flat, dtype=np.float64)
-    encoder = []
-    offset = 0
-    for w, b in template.encoder:
-        encoder.append((flat[offset:offset + w.size].reshape(w.shape).copy(),
-                        flat[offset + w.size:offset + w.size + b.size].copy()))
-        offset += w.size + b.size
-    k = template.logit_matrix.size
-    if flat.size != offset + k:
-        raise ValueError(
-            f"flat vector has {flat.size} entries, template needs {offset + k}")
-    logit = flat[offset:offset + k].reshape(template.logit_matrix.shape).copy()
-    return Model(encoder, logit)
-
-
-def num_params(model: Model) -> int:
-    return sum(w.size + b.size for w, b in model.encoder) + model.logit_matrix.size
-
-
-def encoder_param_count(model: Model) -> int:
-    return sum(w.size + b.size for w, b in model.encoder)
+    grads.logit_matrix[...] = dscores.T @ emb
+    return loss, grads
 
 
 def save_model(model: Model, path) -> None:
     """Checkpoint layout: magic "FSVM", u32 version, u32 layer count, per
     layer (u32 out, u32 in), u32 K, u32 d, u64 value count, then the
     flattened parameters. All integers and floats little-endian."""
-    flat = flatten_params(model)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -237,8 +217,8 @@ def save_model(model: Model, path) -> None:
         for w, _ in model.encoder:
             fh.write(struct.pack("<II", w.shape[0], w.shape[1]))
         fh.write(struct.pack("<II", model.num_classes, model.embedding_dim))
-        fh.write(struct.pack("<Q", flat.size))
-        fh.write(flat.astype("<f8").tobytes())
+        fh.write(struct.pack("<Q", model.params.size))
+        fh.write(model.params.astype("<f8").tobytes())
 
 
 def _read_exact(fh: BinaryIO, n: int) -> bytes:
@@ -262,6 +242,6 @@ def load_model(path) -> Model:
         flat = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8").astype(np.float64)
     encoder = [(np.zeros((out, inp)), np.zeros(out)) for out, inp in shapes]
     template = Model(encoder, np.zeros((k, d)))
-    model = unflatten_params(template, flat)
-    check_finite(flatten_params(model), "checkpoint parameters")
+    model = template.with_params(flat)
+    check_finite(model.params, "checkpoint parameters")
     return model

@@ -24,10 +24,7 @@ from .model import (
     encode,
     encode_with_cache,
     encoder_backward,
-    flatten_params,
     loss_and_gradient,
-    require_compatible,
-    unflatten_params,
 )
 from .numerics import Tensor, check_finite, weighted_mean
 from .optim import (
@@ -41,7 +38,7 @@ from .optim import (
     sgd_state,
     sgd_step,
 )
-from .svm import OvoSvm, fit_ovo, format_diagnostics, hyperplane, support_vectors_of_class
+from .svm import OvoSvm, fit_ovo, hyperplane, support_vectors_of_class
 
 log = logging.getLogger(__name__)
 
@@ -173,7 +170,7 @@ class RoundRecordData:
     selected_clients: tuple[int, ...]
     lam: float | None = None
     sv_counts: tuple[int, ...] | None = None
-    diagnostics: str | None = None
+    svm: OvoSvm | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +235,6 @@ def client_update(n: int, global_model: Model, data: tuple[Tensor, np.ndarray],
         raise ValueError(f"client {n}: empty dataset")
 
     model = global_model.copy()
-    flat_global = flatten_params(global_model)
-    flat = flat_global.copy()
     opt = sgd_state(config.learning_rate) if config.learning_rate > 0 else None
 
     use_prox = config.variant == PROX and config.prox_mu != 0.0
@@ -256,17 +251,16 @@ def client_update(n: int, global_model: Model, data: tuple[Tensor, np.ndarray],
             batch = Batch(features[idx], labels[idx])
             loss, grads = loss_and_gradient(model, batch)
             losses.append(loss)
-            grad_flat = flatten_params(grads)
+            grad = grads.params
             if use_prox:
-                grad_flat += config.prox_mu * (flat - flat_global)
+                grad += config.prox_mu * (model.params - global_model.params)
             if use_moon:
                 _, moon_grads = moon_loss_and_gradient(
                     model, global_model, prev_model, batch.inputs,
                     config.moon_temperature)
-                grad_flat += config.moon_coeff * flatten_params(moon_grads)
+                grad += config.moon_coeff * moon_grads.params
             if opt is not None:
-                flat = sgd_step(flat, grad_flat, opt)
-                model = unflatten_params(global_model, flat)
+                model = model.with_params(sgd_step(model.params, grad, opt))
     return model, float(np.mean(losses))
 
 
@@ -278,25 +272,23 @@ def fedavg_aggregate(models: Sequence[Model], dataset_sizes: Sequence[float]) ->
     """Parameter-wise weighted mean with weights ``|D_n| / sum |D_n|``."""
     if len(models) == 0:
         raise ValueError("cannot aggregate an empty model list")
-    for m in models[1:]:
-        require_compatible(models[0], m)
-    flat = weighted_mean([flatten_params(m) for m in models], dataset_sizes)
-    return unflatten_params(models[0], flat)
+    if any(m.layout != models[0].layout for m in models):
+        raise ValueError("structurally incompatible models")
+    return models[0].with_params(weighted_mean([m.params for m in models], dataset_sizes))
 
 
 def pseudo_gradient(global_model: Model, aggregated: Model) -> Tensor:
     """Flat displacement from the current global model to the aggregate."""
-    require_compatible(global_model, aggregated)
-    return flatten_params(aggregated) - flatten_params(global_model)
+    if aggregated.layout != global_model.layout:
+        raise ValueError("structurally incompatible models")
+    return aggregated.params - global_model.params
 
 
 def fedopt_step(global_model: Model, delta: Tensor, server_state: OptimizerState) -> Model:
     """Server-optimizer update of the global model with gradient ``-delta``."""
-    flat = flatten_params(global_model)
-    if delta.shape != flat.shape:
+    if delta.shape != global_model.params.shape:
         raise ValueError("pseudo-gradient length does not match the model")
-    new_flat = optimizer_step(flat, -delta, server_state)
-    return unflatten_params(global_model, new_flat)
+    return global_model.with_params(optimizer_step(global_model.params, -delta, server_state))
 
 
 def fedaws_penalty(logit_matrix: Tensor) -> tuple[float, Tensor]:
@@ -439,26 +431,26 @@ def run_round(t: int, global_model: Model, dataset, server: ServerState,
             server.prev_models[n] = trained
 
     server.maybe_reset()
-    aggregated = fedavg_aggregate(models, sizes)
+    # The aggregate is a fresh buffer, so the strategies below may rewrite
+    # its logit rows in place; the client models and the global model are
+    # never written.
+    new_model = fedavg_aggregate(models, sizes)
     record = RoundRecordData(train_loss=float(np.mean(losses)),
                              selected_clients=selected)
 
-    if strategy.kind == FEDAVG:
-        new_model = aggregated
-    elif strategy.kind == FEDOPT:
+    if strategy.kind == FEDOPT:
         if server.full_opt.kind == SGD and server.full_opt.learning_rate == 1.0:
             # Exact algebraic identity: an SGD server step at unit rate on
             # -delta lands on the aggregate itself. Taking the aggregate
             # directly keeps the identity bitwise.
             server.full_opt.step_count += 1
-            new_model = aggregated
         else:
-            new_model = fedopt_step(global_model, pseudo_gradient(global_model, aggregated),
+            new_model = fedopt_step(global_model, pseudo_gradient(global_model, new_model),
                                     server.full_opt)
     elif strategy.kind == FEDAWS:
-        new_logits = fedaws_regularize(aggregated.logit_matrix, server.logit_opt)
-        new_model = Model(aggregated.encoder, new_logits)
-    else:  # SVM_MARGIN
+        new_model.logit_matrix[...] = fedaws_regularize(new_model.logit_matrix,
+                                                        server.logit_opt)
+    elif strategy.kind == SVM_MARGIN:
         lam = penalty_value(strategy.schedule, t)
         class_embeddings = {
             k: [(models[i].logit_matrix[k], sizes[i]) for i in range(len(models))]
@@ -476,12 +468,12 @@ def run_round(t: int, global_model: Model, dataset, server: ServerState,
         if strategy.reg_steps > 0:
             new_logits, _ = spreadout_regularize(new_logits, svm, server.logit_opt,
                                                  strategy.reg_steps)
-        new_model = Model(aggregated.encoder, new_logits)
+        new_model.logit_matrix[...] = new_logits
         record.lam = lam
         record.sv_counts = tuple(
             len(support_vectors_of_class(svm, k))
             for k in range(global_model.num_classes))
-        record.diagnostics = format_diagnostics(svm)
+        record.svm = svm
 
-    check_finite(flatten_params(new_model), f"global model after round {t}")
+    check_finite(new_model.params, f"global model after round {t}")
     return new_model, record

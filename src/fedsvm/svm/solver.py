@@ -34,13 +34,11 @@ DEFAULT_GAP_TOL = 1e-6
 class SvmProblem:
     samples: Tensor              # M x d
     labels: np.ndarray           # length M, entries +-1
-    sample_weights: np.ndarray   # length M, positive; carried, not used in fitting
     lam: float                   # slack-penalty coefficient
 
     def __post_init__(self):
         self.samples = np.ascontiguousarray(as_tensor(self.samples))
         self.labels = np.asarray(self.labels, dtype=np.float64)
-        self.sample_weights = np.asarray(self.sample_weights, dtype=np.float64)
         m = self.samples.shape[0]
         if self.samples.ndim != 2 or m < 2:
             raise ValueError("need at least two samples in an M x d matrix")
@@ -48,8 +46,6 @@ class SvmProblem:
             raise ValueError("labels must be +-1, one per sample")
         if np.all(self.labels > 0) or np.all(self.labels < 0):
             raise ValueError("both labels must be present")
-        if self.sample_weights.shape != (m,) or np.any(self.sample_weights <= 0):
-            raise ValueError("sample_weights must be positive, one per sample")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         check_finite(self.samples, "samples")
@@ -196,9 +192,8 @@ def fit_ovo(class_embeddings: Mapping[int, Sequence[tuple[Tensor, float]]],
             neg = class_samples[kp]
             samples = np.vstack([[e for _, e, _ in pos], [e for _, e, _ in neg]])
             labels = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
-            weights = np.array([w for _, _, w in pos] + [w for _, _, w in neg])
             try:
-                problem = SvmProblem(samples, labels, weights, lam)
+                problem = SvmProblem(samples, labels, lam)
                 models[(k, kp)] = fit_binary(problem, max_iters=max_iters, tol=tol)
             except ValueError as err:
                 raise ValueError(f"pair ({k}, {kp}): {err}") from err

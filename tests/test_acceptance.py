@@ -20,10 +20,8 @@ from fedsvm.metrics import accuracy, macro_f1, mcc
 from fedsvm.model import (
     Batch,
     encode,
-    flatten_params,
     init_model,
     loss_and_gradient,
-    unflatten_params,
 )
 from fedsvm.numerics import finite_difference_gradient, relative_error
 from fedsvm.strategies import (
@@ -146,9 +144,9 @@ def test_criterion_1_gradient_oracles():
         batch = Batch(x, y)
         _, grads = loss_and_gradient(model, batch)
         fd = finite_difference_gradient(
-            lambda f: loss_and_gradient(unflatten_params(model, f), batch)[0],
-            flatten_params(model))
-        worst["ce"] = max(worst["ce"], relative_error(flatten_params(grads), fd))
+            lambda f: loss_and_gradient(model.with_params(f), batch)[0],
+            model.params.copy())
+        worst["ce"] = max(worst["ce"], relative_error(grads.params, fd))
 
     k, d = 4, 3
     for trial in range(20):
@@ -187,10 +185,10 @@ def test_criterion_1_gradient_oracles():
             continue  # the cosine is not differentiable at a zero embedding
         _, grads = moon_loss_and_gradient(model, global_model, prev_model, x, 0.5)
         fd = finite_difference_gradient(
-            lambda f: moon_loss_and_gradient(unflatten_params(model, f),
+            lambda f: moon_loss_and_gradient(model.with_params(f),
                                              global_model, prev_model, x, 0.5)[0],
-            flatten_params(model))
-        worst["moon"] = max(worst["moon"], relative_error(flatten_params(grads), fd))
+            model.params.copy())
+        worst["moon"] = max(worst["moon"], relative_error(grads.params, fd))
         checked += 1
 
     for trial in range(20):
@@ -233,7 +231,7 @@ def test_criterion_2_svm_against_qp_oracle():
     worst_obj = 0.0
     worst_gap = 0.0
     for x, y, lam in problems:
-        model = fit_binary(SvmProblem(x, y, np.ones(len(y)), lam),
+        model = fit_binary(SvmProblem(x, y, lam),
                            max_iters=2000, tol=1e-10)
         _, _, oracle_obj = primal_oracle(x, y, lam)
         worst_obj = max(worst_obj,
@@ -282,7 +280,7 @@ def test_criterion_3_reduction_identities():
     for t in range(20):
         m_avg, _ = run_round(t, m_avg, dataset, s_avg, cfg, 4, seed=42)
         m_opt, _ = run_round(t, m_opt, dataset, s_opt, cfg, 4, seed=42)
-        identity_a &= bool(np.array_equal(flatten_params(m_avg), flatten_params(m_opt)))
+        identity_a &= bool(np.array_equal(m_avg.params, m_opt.params))
 
     # (b) The proximal variant with zero coefficient is the vanilla client.
     prox_cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.1,
@@ -294,7 +292,7 @@ def test_criterion_3_reduction_identities():
     for t in range(20):
         m_van, _ = run_round(t, m_van, dataset, s1, cfg, 4, seed=43)
         m_prox, _ = run_round(t, m_prox, dataset, s2, prox_cfg, 4, seed=43)
-        identity_b &= bool(np.array_equal(flatten_params(m_van), flatten_params(m_prox)))
+        identity_b &= bool(np.array_equal(m_van.params, m_prox.params))
 
     # (c) With every embedding a support vector, equal sizes and no
     # regularizer steps, selective aggregation is weighted averaging.
@@ -340,7 +338,7 @@ def test_criterion_4_logit_gap_bound():
         neg = -gap * direction + 0.3 * rng.standard_normal((n, d))
         x = np.vstack([pos, neg])
         y = np.concatenate([np.ones(n), -np.ones(n)])
-        model = fit_binary(SvmProblem(x, y, np.ones(2 * n), 1e-4 / n))
+        model = fit_binary(SvmProblem(x, y, 1e-4 / n))
         x_star = gap * direction + 0.3 * rng.standard_normal(d)
         try:
             lhs, rhs, holds = verify_logit_bound(model, pos, neg,

@@ -89,7 +89,7 @@ def test_centralized_training_saturates_on_separated_task():
     # Sanity oracle: when classes are far apart relative to noise, plain
     # centralized SGD on the pooled training clients nails the held-out
     # clients.
-    from fedsvm.model import Batch, flatten_params, init_model, loss_and_gradient, predict, unflatten_params
+    from fedsvm.model import Batch, init_model, loss_and_gradient, predict
     from fedsvm.optim import sgd_state, sgd_step
 
     ds = generate_synthetic(spec(num_clients=10, class_separation=10.0,
@@ -98,7 +98,6 @@ def test_centralized_training_saturates_on_separated_task():
     y = np.concatenate([ds.clients[i][1] for i in ds.train_client_indices])
     model = init_model(ds.feature_dim, [16], 8, ds.num_classes,
                        np.random.default_rng(0))
-    flat = flatten_params(model)
     opt = sgd_state(0.2)
     rng = np.random.default_rng(1)
     for _ in range(60):
@@ -106,8 +105,7 @@ def test_centralized_training_saturates_on_separated_task():
         for start in range(0, len(order), 32):
             idx = order[start:start + 32]
             _, grads = loss_and_gradient(model, Batch(x[idx], y[idx]))
-            flat = sgd_step(flat, flatten_params(grads), opt)
-            model = unflatten_params(model, flat)
+            model = model.with_params(sgd_step(model.params, grads.params, opt))
     held_x, held_y = heldout_pool(ds)
     acc = float(np.mean(predict(model, held_x) == held_y))
     assert acc >= 0.99

@@ -254,14 +254,18 @@ seeds = 0
 
 
 def test_svm_diagnostics_dump(tmp_path):
-    path = write_config(tmp_path, strategy="svm_margin", rounds=2)
-    text = path.read_text().replace("name = svm_margin",
-                                    "name = svm_margin\nsvm_diagnostics = true")
-    path.write_text(text)
-    result = run_experiment(parse_config(path), tmp_path / "diag")
-    diag = (result.output_dir / "svm_diag.txt").read_text()
-    assert "duality_gap" in diag
-    assert "# seed 0 round 1" in diag
+    # The table covers every round, also the ones eval_stride skips.
+    for rounds, extra_run in ((2, ""), (3, "eval_stride = 2\n")):
+        path = write_config(tmp_path, strategy="svm_margin", rounds=rounds,
+                            extra_run=extra_run)
+        text = path.read_text().replace("name = svm_margin",
+                                        "name = svm_margin\nsvm_diagnostics = true")
+        path.write_text(text)
+        result = run_experiment(parse_config(path), tmp_path / f"diag{rounds}")
+        diag = (result.output_dir / "svm_diag.txt").read_text()
+        assert "duality_gap" in diag
+        for t in range(1, rounds + 1):
+            assert f"# seed 0 round {t}\n" in diag
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,14 @@ from fedsvm.model import (
     Model,
     class_probabilities,
     encode,
-    flatten_params,
     init_model,
     load_model,
     loss_and_gradient,
     predict,
     save_model,
-    structurally_compatible,
-    unflatten_params,
 )
 from fedsvm.numerics import finite_difference_gradient, relative_error
+from fedsvm.strategies import pseudo_gradient
 
 
 def small_model(seed=0, input_dim=5, hidden=6, emb=4, classes=3):
@@ -118,10 +116,10 @@ def test_gradients_match_finite_differences():
         _, grads = loss_and_gradient(model, batch)
 
         def loss_of(flat, template=model, batch=batch):
-            return loss_and_gradient(unflatten_params(template, flat), batch)[0]
+            return loss_and_gradient(template.with_params(flat), batch)[0]
 
-        fd = finite_difference_gradient(loss_of, flatten_params(model))
-        err = relative_error(flatten_params(grads), fd)
+        fd = finite_difference_gradient(loss_of, model.params.copy())
+        err = relative_error(grads.params, fd)
         if err >= 1e-5:
             failures.append((trial, err))
     assert not failures, failures
@@ -129,10 +127,25 @@ def test_gradients_match_finite_differences():
 
 def test_flatten_roundtrip_bit_identical():
     m = small_model(11)
-    again = unflatten_params(m, flatten_params(m))
-    assert np.array_equal(flatten_params(again), flatten_params(m))
+    again = m.with_params(m.params.copy())
+    assert np.array_equal(again.params, m.params)
     for (w1, b1), (w2, b2) in zip(m.encoder, again.encoder):
         assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+    assert np.array_equal(again.logit_matrix, m.logit_matrix)
+
+
+def test_views_share_the_flat_buffer():
+    m = small_model(12)
+    flat = np.zeros_like(m.params)
+    bound = m.with_params(flat)
+    assert bound.params is flat
+    bound.logit_matrix[0, 0] = 2.5
+    bound.encoder[0][1][0] = -1.0
+    assert flat[-m.logit_matrix.size] == 2.5
+    assert flat[m.encoder[0][0].size] == -1.0
+    copied = m.copy()
+    copied.params[:] = 0.0
+    assert np.any(m.params != 0.0)
 
 
 def test_flatten_order_contract():
@@ -141,29 +154,33 @@ def test_flatten_order_contract():
     w0 = np.array([[1.0, 2.0], [3.0, 4.0]])
     b0 = np.array([5.0, 6.0])
     logit = np.array([[7.0, 8.0], [9.0, 10.0]])
-    flat = flatten_params(Model([(w0, b0)], logit))
-    assert np.array_equal(flat, np.arange(1.0, 11.0))
+    m = Model([(w0, b0)], logit)
+    assert np.array_equal(m.params, np.arange(1.0, 11.0))
+    w0[0, 0] = b0[0] = logit[0, 0] = 0.0
+    assert m.params[0] == 1.0 and m.params[4] == 5.0 and m.params[6] == 7.0
 
 
 def test_flatten_zero_model_is_zero_vector():
     m = Model([(np.zeros((2, 3)), np.zeros(2))], np.zeros((4, 2)))
-    assert np.all(flatten_params(m) == 0.0)
+    assert np.all(m.params == 0.0)
 
 
 def test_unflatten_size_mismatch():
     m = small_model(0)
     with pytest.raises(ValueError):
-        unflatten_params(m, np.zeros(3))
+        m.with_params(np.zeros(3))
+    with pytest.raises(ValueError):
+        m.with_params(np.zeros(m.params.size + 1))
 
 
 def test_structural_compatibility_is_equivalence_like():
     a, b, c = small_model(0), small_model(1), small_model(2)
     other = small_model(3, hidden=7)
-    assert structurally_compatible(a, a)
-    assert structurally_compatible(a, b) == structurally_compatible(b, a)
-    assert structurally_compatible(a, b) and structurally_compatible(b, c) \
-        and structurally_compatible(a, c)
-    assert not structurally_compatible(a, other)
+    assert a.layout == b.layout == c.layout
+    assert a.layout != other.layout
+    assert np.all(pseudo_gradient(a, a) == 0.0)
+    with pytest.raises(ValueError, match="structurally incompatible"):
+        pseudo_gradient(a, other)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -171,7 +188,8 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "model.bin"
     save_model(m, path)
     loaded = load_model(path)
-    assert np.array_equal(flatten_params(loaded), flatten_params(m))
+    assert np.array_equal(loaded.params, m.params)
+    assert loaded.layout == m.layout
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from fedsvm.data import SyntheticSpec, generate_synthetic
-from fedsvm.model import Batch, Model, flatten_params, init_model, loss_and_gradient, unflatten_params
+from fedsvm.model import Batch, Model, init_model, loss_and_gradient
 from fedsvm.numerics import finite_difference_gradient, relative_error
 from fedsvm.optim import adam_state, sgd_state, sgd_step
 from fedsvm.strategies import (
     FEDAVG,
+    FEDAWS,
     FEDOPT,
     MOON,
     PROX,
@@ -57,8 +58,8 @@ def test_single_batch_vanilla_equals_manual_step():
     order = np.random.default_rng(77).permutation(6)
     batch = Batch(data[0][order], data[1][order])
     _, grads = loss_and_gradient(model, batch)
-    manual = sgd_step(flatten_params(model), flatten_params(grads), sgd_state(0.1))
-    assert np.array_equal(flatten_params(trained), manual)
+    manual = sgd_step(model.params, grads.params, sgd_state(0.1))
+    assert np.array_equal(trained.params, manual)
 
 
 def test_prox_mu_zero_is_bitwise_vanilla():
@@ -69,7 +70,7 @@ def test_prox_mu_zero_is_bitwise_vanilla():
                         variant=PROX, prox_mu=0.0)
     a, _ = client_update(0, model, data, base, np.random.default_rng(5))
     b, _ = client_update(0, model, data, prox, np.random.default_rng(5))
-    assert np.array_equal(flatten_params(a), flatten_params(b))
+    assert np.array_equal(a.params, b.params)
 
 
 def test_zero_learning_rate_returns_global_model():
@@ -77,15 +78,15 @@ def test_zero_learning_rate_returns_global_model():
     trained, _ = client_update(0, model, tiny_client_data(3),
                                ClientConfig(learning_rate=0.0),
                                np.random.default_rng(0))
-    assert np.array_equal(flatten_params(trained), flatten_params(model))
+    assert np.array_equal(trained.params, model.params)
 
 
 def test_client_update_leaves_global_untouched():
     model = tiny_model(4)
-    before = flatten_params(model).copy()
+    before = model.params.copy()
     client_update(0, model, tiny_client_data(4), ClientConfig(),
                   np.random.default_rng(1))
-    assert np.array_equal(flatten_params(model), before)
+    assert np.array_equal(model.params, before)
 
 
 def test_empty_dataset_rejected():
@@ -96,7 +97,7 @@ def test_empty_dataset_rejected():
 
 def test_prox_gradient_zero_at_global_model():
     # At theta == theta_global the proximal term contributes exactly zero.
-    flat = flatten_params(tiny_model(5))
+    flat = tiny_model(5).params
     assert np.all(0.05 * (flat - flat) == 0.0)
 
 
@@ -105,7 +106,7 @@ def test_moon_gradient_vanishes_when_prev_equals_global():
     x = np.random.default_rng(3).standard_normal((5, model.input_dim))
     loss, grads = moon_loss_and_gradient(model, model, model, x, 0.5)
     assert loss == pytest.approx(np.log(2.0), abs=1e-12)
-    assert np.linalg.norm(flatten_params(grads)) < 1e-12
+    assert np.linalg.norm(grads.params) < 1e-12
 
 
 def test_moon_gradient_matches_finite_differences():
@@ -116,11 +117,11 @@ def test_moon_gradient_matches_finite_differences():
     _, grads = moon_loss_and_gradient(model, global_model, prev_model, x, 0.5)
 
     def loss_of(flat):
-        return moon_loss_and_gradient(unflatten_params(model, flat), global_model,
+        return moon_loss_and_gradient(model.with_params(flat), global_model,
                                       prev_model, x, 0.5)[0]
 
-    fd = finite_difference_gradient(loss_of, flatten_params(model))
-    assert relative_error(flatten_params(grads), fd) < 1e-5
+    fd = finite_difference_gradient(loss_of, model.params.copy())
+    assert relative_error(grads.params, fd) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -128,27 +129,27 @@ def test_moon_gradient_matches_finite_differences():
 # ---------------------------------------------------------------------------
 
 def as_models(flats, template):
-    return [unflatten_params(template, f) for f in flats]
+    return [template.with_params(f) for f in flats]
 
 
 def test_fedavg_weighted_mean():
     template = Model([(np.zeros((1, 1)), np.zeros(1))], np.zeros((2, 1)))
-    size = flatten_params(template).size
+    size = template.params.size
     models = as_models([np.full(size, 2.0), np.full(size, 4.0)], template)
     out = fedavg_aggregate(models, [1.0, 3.0])
-    assert np.all(flatten_params(out) == 3.5)
+    assert np.all(out.params == 3.5)
 
 
 def test_fedavg_idempotent_on_identical_models():
     m = tiny_model(11)
     out = fedavg_aggregate([m.copy(), m.copy(), m.copy()], [1.0, 2.0, 9.0])
-    assert np.array_equal(flatten_params(out), flatten_params(m))
+    assert np.array_equal(out.params, m.params)
 
 
 def test_fedavg_single_model_identity():
     m = tiny_model(12)
     out = fedavg_aggregate([m.copy()], [5.0])
-    assert np.array_equal(flatten_params(out), flatten_params(m))
+    assert np.array_equal(out.params, m.params)
 
 
 def test_fedavg_rejects_empty_and_incompatible():
@@ -160,9 +161,9 @@ def test_fedavg_rejects_empty_and_incompatible():
 
 def test_pseudo_gradient_definition():
     template = tiny_model(13)
-    size = flatten_params(template).size
-    g = unflatten_params(template, np.concatenate([[1.0, 1.0], np.zeros(size - 2)]))
-    a = unflatten_params(template, np.concatenate([[2.0, 0.0], np.zeros(size - 2)]))
+    size = template.params.size
+    g = template.with_params(np.concatenate([[1.0, 1.0], np.zeros(size - 2)]))
+    a = template.with_params(np.concatenate([[2.0, 0.0], np.zeros(size - 2)]))
     delta = pseudo_gradient(g, a)
     assert delta[0] == 1.0 and delta[1] == -1.0
     assert np.all(delta[2:] == 0.0)
@@ -171,25 +172,25 @@ def test_pseudo_gradient_definition():
 
 def test_fedopt_adam_moves_along_delta():
     model = tiny_model(14)
-    delta = np.ones(flatten_params(model).size)
+    delta = np.ones(model.params.size)
     out = fedopt_step(model, delta, adam_state(0.1))
-    moved = flatten_params(out) - flatten_params(model)
+    moved = out.params - model.params
     assert np.allclose(moved, 0.1, atol=1e-7)
 
 
 def test_fedopt_zero_delta_first_step_noop():
     model = tiny_model(15)
-    out = fedopt_step(model, np.zeros(flatten_params(model).size), adam_state(0.1))
-    assert np.array_equal(flatten_params(out), flatten_params(model))
+    out = fedopt_step(model, np.zeros(model.params.size), adam_state(0.1))
+    assert np.array_equal(out.params, model.params)
 
 
 def test_fedopt_amsgrad_first_step_equals_adam():
     model = tiny_model(16)
-    delta = np.random.default_rng(4).standard_normal(flatten_params(model).size)
+    delta = np.random.default_rng(4).standard_normal(model.params.size)
     a = fedopt_step(model, delta, adam_state(0.05))
     from fedsvm.optim import amsgrad_state
     b = fedopt_step(model, delta, amsgrad_state(0.05))
-    assert np.array_equal(flatten_params(a), flatten_params(b))
+    assert np.array_equal(a.params, b.params)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +364,7 @@ def test_run_round_single_client_fedavg_equals_client_model():
 
     rng = np.random.default_rng(np.random.SeedSequence([3, 2, 0, n]))
     expected, _ = client_update(n, model, dataset.clients[n], cfg, rng)
-    assert np.array_equal(flatten_params(new_model), flatten_params(expected))
+    assert np.array_equal(new_model.params, expected.params)
     assert rec.selected_clients == (n,)
 
 
@@ -381,7 +382,7 @@ def test_run_round_deterministic_given_seed():
         for t in range(3):
             m, rec = run_round(t, m, dataset, server, cfg, 3, seed=7)
             recs.append((rec.train_loss, rec.lam, rec.sv_counts, rec.selected_clients))
-        outs.append((flatten_params(m), recs))
+        outs.append((m.params, recs))
     assert np.array_equal(outs[0][0], outs[1][0])
     assert outs[0][1] == outs[1][1]
 
@@ -397,7 +398,7 @@ def test_fedopt_sgd_unit_rate_is_bitwise_fedavg():
     for t in range(5):
         m_avg, _ = run_round(t, m_avg, dataset, server_avg, cfg, 3, seed=11)
         m_opt, _ = run_round(t, m_opt, dataset, server_opt, cfg, 3, seed=11)
-        assert np.array_equal(flatten_params(m_avg), flatten_params(m_opt))
+        assert np.array_equal(m_avg.params, m_opt.params)
 
 
 def test_svm_margin_encoder_matches_fedavg_encoder():
@@ -436,7 +437,7 @@ def test_svm_margin_degenerate_equals_fedavg_logits():
         m_avg, _ = run_round(t, m_avg, dataset, server_avg, cfg, 3, seed=17)
         assert rec.sv_counts == (3, 3, 3)
         assert np.array_equal(m_svm.logit_matrix, m_avg.logit_matrix)
-        assert np.array_equal(flatten_params(m_svm), flatten_params(m_avg))
+        assert np.array_equal(m_svm.params, m_avg.params)
 
 
 def test_sampling_frequencies_are_uniform():
@@ -465,3 +466,26 @@ def test_moon_round_uses_previous_model_store():
     for t in range(2):
         m, _ = run_round(t, m, dataset, server, cfg, 3, seed=19)
     assert server.prev_models  # clients trained this run are remembered
+
+
+@pytest.mark.parametrize("kind", [FEDAWS, SVM_MARGIN])
+def test_round_rewrites_only_its_own_aggregate(kind):
+    # These strategies rewrite the logit rows of the averaged model in
+    # place; the caller's global model and the client models that moon
+    # keeps must stay untouched.
+    dataset = small_dataset(6)
+    model = init_model(dataset.feature_dim, [5], 3, dataset.num_classes,
+                       np.random.default_rng(6))
+    cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.05,
+                       variant=MOON, moon_coeff=1.0)
+    server = make_server(kind, server_learning_rate=1e-2,
+                         schedule=PenaltySchedule(total_rounds=1))
+    before = model.params.copy()
+    new_model, rec = run_round(0, model, dataset, server, cfg, 3, seed=23)
+    assert np.array_equal(model.params, before)
+    assert set(server.prev_models) == set(rec.selected_clients)
+    for n, trained in server.prev_models.items():
+        assert not np.shares_memory(trained.params, new_model.params)
+        rng = np.random.default_rng(np.random.SeedSequence([23, 2, 0, n]))
+        expected, _ = client_update(n, model, dataset.clients[n], cfg, rng)
+        assert np.array_equal(trained.params, expected.params)

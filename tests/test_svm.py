@@ -19,7 +19,7 @@ from qp_oracle import dual_oracle, primal_oracle, random_separable_problem
 
 def fit(x, y, lam, **kwargs):
     x = np.asarray(x, dtype=float)
-    return fit_binary(SvmProblem(x, np.asarray(y, float), np.ones(len(y)), lam),
+    return fit_binary(SvmProblem(x, np.asarray(y, float), lam),
                       **kwargs)
 
 
@@ -145,13 +145,11 @@ def test_nonconvergence_is_flagged_not_raised():
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        SvmProblem(np.zeros((1, 2)), np.array([1.0]), np.array([1.0]), 1.0)
+        SvmProblem(np.zeros((1, 2)), np.array([1.0]), 1.0)
     with pytest.raises(ValueError):
-        SvmProblem(np.zeros((2, 2)), np.array([1.0, 1.0]), np.ones(2), 1.0)
+        SvmProblem(np.zeros((2, 2)), np.array([1.0, 1.0]), 1.0)
     with pytest.raises(ValueError):
-        SvmProblem(np.eye(2), np.array([1.0, -1.0]), np.array([1.0, -1.0]), 1.0)
-    with pytest.raises(ValueError):
-        SvmProblem(np.eye(2), np.array([1.0, -1.0]), np.ones(2), 0.0)
+        SvmProblem(np.eye(2), np.array([1.0, -1.0]), 0.0)
 
 
 # ---------------------------------------------------------------------------
