@@ -1,4 +1,4 @@
-from .backend import BACKEND_NAME, get_sweep
+from .backend import BACKEND_NAME
 from .solver import (
     ALPHA_TOL,
     SLACK_TOL,
@@ -24,7 +24,6 @@ __all__ = [
     "fit_binary",
     "fit_ovo",
     "format_diagnostics",
-    "get_sweep",
     "hyperplane",
     "support_vectors_of_class",
     "sv_counts",

@@ -42,8 +42,8 @@ GOLDEN = {
                 "17dd92bc8b604fb3b2fcd1a55edb31c4e32ba6cb0f515af03f702782bf061466"),
     "moon": ("f30f09c152507d15bb88c6e8820d47f10f4dd7143a284a33fe3f1ad3a7f685ee",
              "23e796075417e0a5e31279ef168b4f90028d3c95e7fbaa1b2b47dd5fa26aecb9"),
-    "svm_margin": ("e69d21e40208737c6517915639b3dea00aaa896a397a83c9b729d899602d4c9b",
-                   "b2fd3dcaf4235ef1a2efd1bd228bb6f60eb174ea935b617011ba7f3a2df18c79"),
+    "svm_margin": ("dd9c450112953b8f2aadbeb036e3aa1e512bbaf72a3ccad7a6785a7c17b0eae2",
+                   "de8800de1e0f36989058df791610125d0a57fffb34c131a795d515d095ce09cd"),
 }
 
 

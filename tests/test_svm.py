@@ -7,7 +7,6 @@ from fedsvm.svm import (
     fit_binary,
     fit_ovo,
     format_diagnostics,
-    get_sweep,
     hyperplane,
     support_vectors_of_class,
     sv_counts,
@@ -119,6 +118,50 @@ def test_separable_normal_scales_inversely():
     for c in (2.0, 5.0):
         scaled = fit(c * x, y, 1e6)
         assert np.allclose(scaled.normal, base.normal / c, atol=1e-6)
+
+
+def clustered_problem(m, d, seed, repeated):
+    """Two classes of m/2 embeddings around opposite cluster centres, as
+    benchmarks/bench_svm.py draws them. With ``repeated``, rows recur
+    within each class and across the classes, so that pairs of zero
+    curvature occur."""
+    rng = np.random.default_rng(seed)
+    direction = rng.standard_normal(d)
+    direction /= np.linalg.norm(direction)
+    pos = 1.5 * direction + rng.standard_normal((m // 2, d))
+    neg = -1.5 * direction + rng.standard_normal((m // 2, d))
+    if repeated:
+        pos[-1] = pos[0]
+        neg[-1] = neg[0]
+        neg[-2] = pos[1]
+    x = np.vstack([pos, neg])
+    y = np.concatenate([np.ones(m // 2), -np.ones(m // 2)])
+    return x, y
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+@pytest.mark.parametrize("d", [4, 16, 64])
+@pytest.mark.parametrize("m", [16, 64])
+def test_workload_sized_problems_converge_with_kkt(m, d, repeated):
+    for seed, lam in enumerate((1.0, 0.1, 0.01)):
+        x, y = clustered_problem(m, d, seed, repeated)
+        model = fit(x, y, lam)
+        assert model.converged, (m, d, lam, model.duality_gap)
+        assert_kkt(model, x, y, lam)
+
+
+def test_scaled_down_problem_has_the_scaled_solution():
+    # Samples scaled by s with lam scaled by 1/s^2 have the dual solution
+    # alpha / s^2, the normal w / s and the same bias; zero-curvature pairs
+    # must still be told apart from the rest at every scale.
+    x, y = clustered_problem(16, 4, 0, repeated=True)
+    base = fit(x, y, 1.0)
+    for s in (1e-4, 1e-8):
+        scaled = fit(s * x, y, 1.0 / s**2)
+        assert scaled.converged, (s, scaled.duality_gap)
+        assert scaled.support_indices == base.support_indices
+        assert np.allclose(s * scaled.normal, base.normal, atol=1e-6)
+        assert scaled.bias == pytest.approx(base.bias, abs=1e-6)
 
 
 def test_every_pair_has_support_on_both_sides():
@@ -255,28 +298,30 @@ def test_diagnostics_table_shape():
 # Projected logit-gap bound
 # ---------------------------------------------------------------------------
 
-def test_bound_on_separated_symmetric_instance():
-    pos = np.array([[1.0, 1.0], [1.0, -1.0]])
-    neg = -pos
+def fit_separated_instance():
+    # The dual optimum is unique, alpha = 1/4 for every point, so every
+    # point is a support vector whatever the solver; h = (1, 0, 0), b = 0.
+    pos = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
+    neg = np.array([[-1.0, 0.0, 1.0], [-1.0, 0.0, -1.0]])
     x = np.vstack([pos, neg])
     y = np.concatenate([np.ones(2), -np.ones(2)])
-    model = fit(x, y, 10.0)
+    return fit(x, y, 10.0), pos, neg
+
+
+def test_bound_on_separated_symmetric_instance():
+    model, pos, neg = fit_separated_instance()
     lhs, rhs, holds = verify_logit_bound(model, pos, neg, np.ones(4),
-                                         np.array([1.5, 0.3]))
+                                         np.array([1.5, 0.3, 0.0]))
     h_sq = float(model.normal @ model.normal)
     assert rhs == pytest.approx(2.0 / h_sq, abs=1e-9)
     assert holds and lhs >= rhs
 
 
 def test_bound_degenerates_when_test_slack_is_one():
-    pos = np.array([[1.0, 1.0], [1.0, -1.0]])
-    neg = -pos
-    x = np.vstack([pos, neg])
-    y = np.concatenate([np.ones(2), -np.ones(2)])
-    model = fit(x, y, 10.0)
-    # h = (1, 0): a point on the decision boundary has slack exactly 1.
+    model, pos, neg = fit_separated_instance()
+    # h = (1, 0, 0): a point on the decision boundary has slack exactly 1.
     lhs, rhs, holds = verify_logit_bound(model, pos, neg, np.ones(4),
-                                         np.array([0.0, 5.0]))
+                                         np.array([0.0, 5.0, 5.0]))
     assert rhs == 0.0 and holds
 
 
@@ -326,32 +371,3 @@ def test_bound_precondition_errors_name_the_assumption():
                            np.array([1.0]))
     with pytest.raises(ValueError, match="good sample"):
         verify_logit_bound(model2, [[1.0]], [[-1.0]], np.ones(2), np.array([-0.5]))
-
-
-# ---------------------------------------------------------------------------
-# Backend parity
-# ---------------------------------------------------------------------------
-
-def test_backends_agree_bitwise_when_both_present():
-    try:
-        sweep_c = get_sweep("c")
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    sweep_py = get_sweep("python")
-    rng = np.random.default_rng(99)
-    for _ in range(10):
-        m, d = int(rng.integers(4, 40)), int(rng.integers(1, 8))
-        x = rng.standard_normal((m, d))
-        y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
-        if np.all(y > 0) or np.all(y < 0):
-            continue
-        gram = np.ascontiguousarray(x @ x.T)
-        lam = float(rng.uniform(0.05, 5.0))
-        a1, f1 = np.zeros(m), np.zeros(m)
-        a2, f2 = np.zeros(m), np.zeros(m)
-        for _ in range(5):
-            n1 = sweep_c(gram, y, lam, a1, f1)
-            n2 = sweep_py(gram, y, lam, a2, f2)
-            assert n1 == n2
-            assert np.array_equal(a1, a2)
-            assert np.array_equal(f1, f2)
