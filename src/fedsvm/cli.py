@@ -20,6 +20,7 @@ from .harness import (
     render_compare_table,
     run_experiment,
     sv_sweep,
+    validate_config,
 )
 
 
@@ -61,9 +62,8 @@ def _load(path, args):
     if args.output_dir is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
     if args.eval_stride is not None:
-        if args.eval_stride < 1:
-            raise ConfigError("--eval-stride must be >= 1")
         cfg = dataclasses.replace(cfg, eval_stride=args.eval_stride)
+    validate_config(cfg)
     return cfg
 
 

@@ -3,9 +3,10 @@ CSV, cross-strategy comparison tables, and the embedding-size /
 participation sweep.
 
 Config files use one section per subsystem ([dataset], [model],
-[client], [strategy], [run]); unknown sections or keys are hard errors
-so a typo in a learning-rate key can never silently change a
-comparison. All CSV columns and orders are fixed.
+[client], [strategy], [run]). Each section is one dataclass whose
+fields are its keys, types and defaults; unknown sections or keys are
+hard errors so a typo in a learning-rate key can never silently change
+a comparison. All CSV columns and orders are fixed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import csv
 import dataclasses
 import logging
 import time
+import types
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -42,7 +45,6 @@ from .strategies import (
     PROX,
     SGD,
     SVM_MARGIN,
-    VANILLA,
     ClientConfig,
     PenaltySchedule,
     ServerState,
@@ -61,7 +63,16 @@ COMPARE_CSV_COLUMNS = ["strategy", "rounds_mean", "rounds_std", "accuracy_mean",
                        "accuracy_std", "f1_mean", "f1_std", "mcc_mean", "mcc_std"]
 SWEEP_CSV_COLUMNS = ["d", "C", "round", "sv_count", "f1"]
 
-STRATEGY_NAMES = ("fedavg", "fedadam", "fedams", "fedopt", "fedaws", "svm_margin")
+# strategy.name -> (server strategy kind, server optimizer, default server
+# rate); a None optimizer means strategy.server_optimizer.
+_STRATEGIES = {
+    "fedavg": (FEDAVG, None, 1e-2),
+    "fedadam": (FEDOPT, ADAM, 1e-3),
+    "fedams": (FEDOPT, AMSGRAD, 1e-3),
+    "fedopt": (FEDOPT, None, 1e-3),
+    "fedaws": (FEDAWS, None, 1e-2),
+    "svm_margin": (SVM_MARGIN, None, 1e-2),
+}
 
 
 class ConfigError(Exception):
@@ -70,6 +81,8 @@ class ConfigError(Exception):
 
 @dataclass
 class DatasetConfig:
+    """[dataset]; the synthetic generator's keys fill ``synthetic``."""
+
     kind: str = "synthetic"
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
     images: str = ""
@@ -80,16 +93,18 @@ class DatasetConfig:
 
 @dataclass
 class ModelConfig:
+    """[model]"""
+
     embedding_dim: int = 64
     hidden_width: int = 64
 
 
 @dataclass
-class RunConfig:
-    dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    model: ModelConfig = field(default_factory=ModelConfig)
-    client: ClientConfig = field(default_factory=ClientConfig)
-    strategy_name: str = "fedavg"
+class StrategyConfig:
+    """[strategy]; no ``server_learning_rate`` means the rate in
+    ``_STRATEGIES``."""
+
+    name: str = "fedavg"
     server_optimizer: str = ADAM
     server_learning_rate: float | None = None
     svm_penalty_initial: float = 1.0
@@ -98,10 +113,20 @@ class RunConfig:
     reg_steps: int = 1
     reset_server_state: bool = False
     svm_diagnostics: bool = False
+
+
+@dataclass
+class RunConfig:
+    """One field per section dataclass; the scalar fields are [run]."""
+
+    dataset: DatasetConfig = field(default_factory=DatasetConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    client: ClientConfig = field(default_factory=ClientConfig)
+    strategy: StrategyConfig = field(default_factory=StrategyConfig)
     rounds: int = 100
     clients_per_round: int = 8
     target_accuracy: float = 0.8
-    seeds: tuple[int, ...] = (0,)
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     output_dir: str = "out"
     eval_stride: int = 1
     sv_checkpoint_round: int | None = None
@@ -120,81 +145,67 @@ class RunConfig:
             return "fedprox"
         if self.client.variant == MOON:
             return "moon"
-        if self.strategy_name == "fedopt" and self.server_optimizer == SGD:
+        if self.strategy.name == "fedopt" and self.strategy.server_optimizer == SGD:
             return "fedopt_sgd"
-        return self.strategy_name
+        return self.strategy.name
 
     def build_strategy(self) -> ServerStrategy:
-        lr = self.server_learning_rate
-        if self.strategy_name == "fedavg":
-            return ServerStrategy(kind=FEDAVG)
-        if self.strategy_name in ("fedadam", "fedams", "fedopt"):
-            optimizer = {"fedadam": ADAM, "fedams": AMSGRAD,
-                         "fedopt": self.server_optimizer}[self.strategy_name]
-            return ServerStrategy(kind=FEDOPT, server_optimizer=optimizer,
-                                  server_learning_rate=1e-3 if lr is None else lr,
-                                  reset_server_state=self.reset_server_state)
-        if self.strategy_name == "fedaws":
-            return ServerStrategy(kind=FEDAWS, server_optimizer=self.server_optimizer,
-                                  server_learning_rate=1e-2 if lr is None else lr,
-                                  reset_server_state=self.reset_server_state)
-        schedule = PenaltySchedule(self.svm_penalty_initial, self.svm_penalty_floor,
-                                   self.rounds, self.svm_penalty_schedule)
-        return ServerStrategy(kind=SVM_MARGIN, server_optimizer=self.server_optimizer,
-                              server_learning_rate=1e-2 if lr is None else lr,
-                              schedule=schedule, reg_steps=self.reg_steps,
-                              reset_server_state=self.reset_server_state)
+        st = self.strategy
+        kind, optimizer, rate = _STRATEGIES[st.name]
+        if st.server_learning_rate is not None:
+            rate = st.server_learning_rate
+        schedule = PenaltySchedule(st.svm_penalty_initial, st.svm_penalty_floor, self.rounds,
+                                   st.svm_penalty_schedule) if kind == SVM_MARGIN else None
+        return ServerStrategy(kind=kind, server_optimizer=optimizer or st.server_optimizer,
+                              server_learning_rate=rate, schedule=schedule,
+                              reg_steps=st.reg_steps, reset_server_state=st.reset_server_state)
 
 
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
 
+# INI section -> the dataclasses whose scalar fields are its keys.
+_SECTIONS = {
+    "dataset": (DatasetConfig, SyntheticSpec),
+    "model": (ModelConfig,),
+    "client": (ClientConfig,),
+    "strategy": (StrategyConfig,),
+    "run": (RunConfig,),
+}
+# SyntheticSpec fields under another INI key; the generation seed is the
+# run seed and has no key.
+_SYNTHETIC_KEYS = {"num_clients": "clients", "num_classes": "classes", "seed": None}
+
+
+def _section_keys(section: str) -> dict[str, tuple[type, str, object]]:
+    """INI key -> (dataclass, field name, field type) for one section."""
+    keys = {}
+    for cls in _SECTIONS[section]:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            key = _SYNTHETIC_KEYS.get(f.name, f.name) if cls is SyntheticSpec else f.name
+            if key and not dataclasses.is_dataclass(hints[f.name]):
+                keys[key] = (cls, f.name, hints[f.name])
+    return keys
+
+
 def _typed(section: str, key: str, raw: str, kind):
+    if typing.get_origin(kind) is types.UnionType:  # optional: T | None
+        kind = typing.get_args(kind)[0]
     try:
         if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError("not a boolean")
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        if kind == tuple[int, ...]:
+            return tuple(int(tok) for tok in raw.replace(",", " ").split())
         return kind(raw)
-    except ValueError as err:
+    except (KeyError, ValueError) as err:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {kind.__name__}") from err
 
 
-_SCHEMA = {
-    "dataset": {
-        "kind": str, "clients": int, "classes": int, "feature_dim": int,
-        "samples_per_client_mean": int, "samples_per_client_spread": int,
-        "dirichlet_alpha": float, "class_separation": float, "noise_sigma": float,
-        "images": str, "labels": str, "partition_clients": int, "partition_alpha": float,
-    },
-    "model": {"embedding_dim": int, "hidden_width": int},
-    "client": {
-        "epochs": int, "batch_size": int, "learning_rate": float, "variant": str,
-        "prox_mu": float, "moon_coeff": float, "moon_temperature": float,
-    },
-    "strategy": {
-        "name": str, "server_optimizer": str, "server_learning_rate": float,
-        "svm_penalty_initial": float, "svm_penalty_floor": float,
-        "svm_penalty_schedule": str, "reg_steps": int, "reset_server_state": bool,
-        "svm_diagnostics": bool,
-    },
-    "run": {
-        "rounds": int, "clients_per_round": int, "target_accuracy": float,
-        "seeds": str, "output_dir": str, "eval_stride": int,
-        "sv_checkpoint_round": int, "label": str,
-    },
-}
-
-
 def parse_config(path) -> RunConfig:
-    """Parse and validate a config file; defaults follow the reference
-    protocol (one client epoch, eight clients per round, batch size 64,
-    client rate 1e-1, adaptive server rates 1e-3, SVM/cosine server rates
-    1e-2)."""
+    """Parse and validate a config file; absent keys take the defaults of
+    the section dataclasses, which follow the reference protocol."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -204,107 +215,48 @@ def parse_config(path) -> RunConfig:
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from err
 
-    values: dict[str, dict] = {}
+    values = {cls: {} for classes in _SECTIONS.values() for cls in classes}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        values[section] = {}
+        keys = _section_keys(section)
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in keys:
                 raise ConfigError(f"{section}.{key}: unknown key")
-            values[section][key] = _typed(section, key, raw, _SCHEMA[section][key])
+            cls, name, kind = keys[key]
+            values[cls][name] = _typed(section, key, raw, kind)
 
-    cfg = RunConfig()
-    ds = values.get("dataset", {})
-    kind = ds.get("kind", "synthetic")
-    if kind not in ("synthetic", "idx"):
-        raise ConfigError(f"dataset.kind: expected synthetic or idx, got {kind!r}")
-    if kind == "synthetic":
-        spec_kwargs = {}
-        mapping = {
-            "clients": "num_clients", "classes": "num_classes",
-            "feature_dim": "feature_dim",
-            "samples_per_client_mean": "samples_per_client_mean",
-            "samples_per_client_spread": "samples_per_client_spread",
-            "dirichlet_alpha": "dirichlet_alpha",
-            "class_separation": "class_separation", "noise_sigma": "noise_sigma",
-        }
-        for key, attr in mapping.items():
-            if key in ds:
-                spec_kwargs[attr] = ds[key]
+    def build(section, cls, **nested):
         try:
-            synthetic = SyntheticSpec(**spec_kwargs)
+            return cls(**values[cls], **nested)
         except ValueError as err:
-            raise ConfigError(f"dataset: {err}") from err
-        cfg.dataset = DatasetConfig(kind="synthetic", synthetic=synthetic)
-    else:
-        if not ds.get("images") or not ds.get("labels"):
-            raise ConfigError("dataset.images and dataset.labels are required for idx datasets")
-        cfg.dataset = DatasetConfig(
-            kind="idx", images=ds["images"], labels=ds["labels"],
-            partition_clients=ds.get("partition_clients", 40),
-            partition_alpha=ds.get("partition_alpha", 0.5))
+            raise ConfigError(f"{section}: {err}") from err
 
-    md = values.get("model", {})
-    cfg.model = ModelConfig(embedding_dim=md.get("embedding_dim", 64),
-                            hidden_width=md.get("hidden_width", 64))
-    if cfg.model.embedding_dim < 1 or cfg.model.hidden_width < 1:
-        raise ConfigError("model.embedding_dim and model.hidden_width must be positive")
-
-    cl = values.get("client", {})
-    try:
-        cfg.client = ClientConfig(
-            epochs=cl.get("epochs", 1),
-            batch_size=cl.get("batch_size", 64),
-            learning_rate=cl.get("learning_rate", 1e-1),
-            variant=cl.get("variant", VANILLA),
-            prox_mu=cl.get("prox_mu", 0.01),
-            moon_coeff=cl.get("moon_coeff", 1.0),
-            moon_temperature=cl.get("moon_temperature", 0.5))
-    except ValueError as err:
-        raise ConfigError(f"client: {err}") from err
-
-    st = values.get("strategy", {})
-    cfg.strategy_name = st.get("name", "fedavg")
-    if cfg.strategy_name not in STRATEGY_NAMES:
-        raise ConfigError(
-            f"strategy.name: expected one of {STRATEGY_NAMES}, got {cfg.strategy_name!r}")
-    cfg.server_optimizer = st.get("server_optimizer", ADAM)
-    if cfg.server_optimizer not in (SGD, ADAM, AMSGRAD):
-        raise ConfigError(f"strategy.server_optimizer: unknown {cfg.server_optimizer!r}")
-    cfg.server_learning_rate = st.get("server_learning_rate")
-    cfg.svm_penalty_initial = st.get("svm_penalty_initial", 1.0)
-    cfg.svm_penalty_floor = st.get("svm_penalty_floor", 0.01)
-    cfg.svm_penalty_schedule = st.get("svm_penalty_schedule", DECREASING)
-    if cfg.svm_penalty_schedule not in (DECREASING, INCREASING):
-        raise ConfigError("strategy.svm_penalty_schedule: expected decreasing or increasing")
-    cfg.reg_steps = st.get("reg_steps", 1)
-    cfg.reset_server_state = st.get("reset_server_state", False)
-    cfg.svm_diagnostics = st.get("svm_diagnostics", False)
-
-    rn = values.get("run", {})
-    cfg.rounds = rn.get("rounds", 100)
-    cfg.clients_per_round = rn.get("clients_per_round", 8)
-    cfg.target_accuracy = rn.get("target_accuracy", 0.8)
-    seeds_raw = rn.get("seeds", "0 1 2 3 4")
-    try:
-        cfg.seeds = tuple(int(tok) for tok in seeds_raw.replace(",", " ").split())
-    except ValueError as err:
-        raise ConfigError(f"run.seeds: cannot parse {seeds_raw!r}") from err
-    cfg.output_dir = rn.get("output_dir", "out")
-    cfg.eval_stride = rn.get("eval_stride", 1)
-    cfg.sv_checkpoint_round = rn.get("sv_checkpoint_round")
-    cfg.label = rn.get("label", "")
-
-    _validate(cfg)
+    cfg = build("run", RunConfig,
+                dataset=build("dataset", DatasetConfig,
+                              synthetic=build("dataset", SyntheticSpec)),
+                model=build("model", ModelConfig),
+                client=build("client", ClientConfig),
+                strategy=build("strategy", StrategyConfig))
+    validate_config(cfg)
     return cfg
 
 
-def _train_client_count(num_clients: int) -> int:
-    return num_clients - max(1, int(round(HELDOUT_FRACTION * num_clients)))
-
-
-def _validate(cfg: RunConfig) -> None:
+def validate_config(cfg: RunConfig) -> None:
+    """Every value check on a config, parsed or overridden."""
+    ds, st = cfg.dataset, cfg.strategy
+    if ds.kind not in ("synthetic", "idx"):
+        raise ConfigError(f"dataset.kind: expected synthetic or idx, got {ds.kind!r}")
+    if ds.kind == "idx" and not (ds.images and ds.labels):
+        raise ConfigError("dataset.images and dataset.labels are required for idx datasets")
+    if cfg.model.embedding_dim < 1 or cfg.model.hidden_width < 1:
+        raise ConfigError("model.embedding_dim and model.hidden_width must be positive")
+    if st.name not in _STRATEGIES:
+        raise ConfigError(f"strategy.name: expected one of {tuple(_STRATEGIES)}, got {st.name!r}")
+    if st.server_optimizer not in (SGD, ADAM, AMSGRAD):
+        raise ConfigError(f"strategy.server_optimizer: unknown {st.server_optimizer!r}")
+    if st.svm_penalty_schedule not in (DECREASING, INCREASING):
+        raise ConfigError("strategy.svm_penalty_schedule: expected decreasing or increasing")
     if cfg.rounds < 1:
         raise ConfigError("run.rounds must be >= 1")
     if not cfg.seeds:
@@ -313,7 +265,7 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("run.target_accuracy must lie in (0, 1)")
     if cfg.eval_stride < 1:
         raise ConfigError("run.eval_stride must be >= 1")
-    train_clients = _train_client_count(cfg.num_clients)
+    train_clients = cfg.num_clients - max(1, int(round(HELDOUT_FRACTION * cfg.num_clients)))
     if cfg.clients_per_round > train_clients:
         raise ConfigError(
             f"run.clients_per_round = {cfg.clients_per_round} exceeds the "
@@ -386,10 +338,6 @@ def _build_dataset(cfg: RunConfig, seed: int) -> FederatedDataset:
 
 def _run_seed(cfg: RunConfig, seed: int, writer, fh, diag_path: Path | None) -> SeedResult:
     dataset = _build_dataset(cfg, seed)
-    if cfg.clients_per_round > len(dataset.train_client_indices):
-        raise ConfigError(
-            f"run.clients_per_round = {cfg.clients_per_round} exceeds "
-            f"{len(dataset.train_client_indices)} train clients")
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
     model = init_model(dataset.feature_dim, [cfg.model.hidden_width],
                        cfg.model.embedding_dim, dataset.num_classes, init_rng)
@@ -397,8 +345,6 @@ def _run_seed(cfg: RunConfig, seed: int, writer, fh, diag_path: Path | None) -> 
     name = cfg.algorithm_name()
 
     rows: list[RoundRow] = []
-    acc_series: list[float] = []
-    acc_rounds: list[int] = []
     for t in range(cfg.rounds):
         start = time.perf_counter()
         model, rec = run_round(t, model, dataset, server, cfg.client,
@@ -409,16 +355,14 @@ def _run_seed(cfg: RunConfig, seed: int, writer, fh, diag_path: Path | None) -> 
                            macro_f1(cm), mcc(cm), rec.lam, rec.sv_counts,
                            (time.perf_counter() - start) * 1e3)
             rows.append(row)
-            acc_series.append(row.accuracy)
-            acc_rounds.append(t + 1)
             writer.writerow(row.as_csv())
             fh.flush()
         if diag_path is not None and rec.svm is not None:
             with open(diag_path, "a") as dfh:
                 dfh.write(f"# seed {seed} round {t + 1}\n{format_diagnostics(rec.svm)}\n")
 
-    crossing = rounds_to_target(acc_series, cfg.target_accuracy)
-    reached = None if crossing is None else acc_rounds[crossing - 1]
+    crossing = rounds_to_target([row.accuracy for row in rows], cfg.target_accuracy)
+    reached = None if crossing is None else rows[crossing - 1].round
     last = rows[-1]
     return SeedResult(seed, rows, reached, last.accuracy, last.f1, last.mcc, last.loss)
 
@@ -429,7 +373,7 @@ def run_experiment(cfg: RunConfig, output_dir=None) -> ExperimentResult:
     only itself; remaining seeds still run."""
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    diag_path = out / "svm_diag.txt" if cfg.svm_diagnostics else None
+    diag_path = out / "svm_diag.txt" if cfg.strategy.svm_diagnostics else None
     if diag_path is not None and diag_path.exists():
         diag_path.unlink()
 
@@ -450,61 +394,54 @@ def run_experiment(cfg: RunConfig, output_dir=None) -> ExperimentResult:
     return ExperimentResult(cfg, seed_results, failed, out)
 
 
-def _mean_std(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
+# ---------------------------------------------------------------------------
+# Seed aggregates
+# ---------------------------------------------------------------------------
+
+def _aggregate(results: list[SeedResult], total_rounds: int) -> dict[str, tuple[str, str]]:
+    """(mean, std) cells over seeds of rounds-to-target and the final
+    accuracy, f1, mcc and loss, as repr strings. Rounds-to-target reads
+    (">T", "") when any seed never reached the target."""
+    reached = [r.rounds_to_target for r in results]
+    columns = {name: [getattr(r, f"final_{name}") for r in results]
+               for name in ("accuracy", "f1", "mcc", "loss")}
+    cells = {"rounds": (f">{total_rounds}", "")}
+    if None not in reached:
+        columns = {"rounds": reached, **columns}
+    for name, values in columns.items():
+        arr = np.asarray(values, dtype=np.float64)
+        cells[name] = (repr(float(arr.mean())), repr(float(arr.std())))
+    return cells
 
 
-def _rounds_cells(results: list[SeedResult], total_rounds: int) -> tuple[str, str]:
-    """Aggregate rounds-to-target as (mean, std) strings; ">T" when any
-    seed never reached the target."""
-    if any(r.rounds_to_target is None for r in results) or not results:
-        return f">{total_rounds}", ""
-    mean, std = _mean_std([r.rounds_to_target for r in results])
-    return repr(mean), repr(std)
+def _pm(cells: tuple[str, str], fmt: str) -> str:
+    """Text "mean±std" of a (mean, std) cell pair; a ">T" cell stays as is."""
+    mean, std = cells
+    return f"{float(mean):{fmt}}±{float(std):{fmt}}" if std else mean
 
 
 def _write_summary(cfg: RunConfig, results: list[SeedResult], out: Path) -> None:
+    lines = [f"strategy: {cfg.algorithm_name()}",
+             f"rounds: {cfg.rounds}  clients/round: {cfg.clients_per_round}  "
+             f"target accuracy: {cfg.target_accuracy}", "",
+             f"{'seed':>6} {'to_target':>10} {'accuracy':>9} {'f1':>9} {'mcc':>9}"]
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_CSV_COLUMNS)
         for r in results:
-            writer.writerow([
-                str(r.seed), format_rounds(r.rounds_to_target, cfg.rounds),
-                repr(r.final_accuracy), repr(r.final_f1), repr(r.final_mcc),
-                repr(r.final_loss)])
+            to_target = format_rounds(r.rounds_to_target, cfg.rounds)
+            writer.writerow([str(r.seed), to_target, repr(r.final_accuracy),
+                             repr(r.final_f1), repr(r.final_mcc), repr(r.final_loss)])
+            lines.append(f"{r.seed:>6} {to_target:>10} {r.final_accuracy:>9.4f} "
+                         f"{r.final_f1:>9.4f} {r.final_mcc:>9.4f}")
         if results:
-            rounds_mean, rounds_std = _rounds_cells(results, cfg.rounds)
-            acc_m, acc_s = _mean_std([r.final_accuracy for r in results])
-            f1_m, f1_s = _mean_std([r.final_f1 for r in results])
-            mcc_m, mcc_s = _mean_std([r.final_mcc for r in results])
-            loss_m, loss_s = _mean_std([r.final_loss for r in results])
-            writer.writerow(["mean", rounds_mean, repr(acc_m), repr(f1_m),
-                             repr(mcc_m), repr(loss_m)])
-            writer.writerow(["std", rounds_std, repr(acc_s), repr(f1_s),
-                             repr(mcc_s), repr(loss_s)])
-
-    lines = [f"strategy: {cfg.algorithm_name()}",
-             f"rounds: {cfg.rounds}  clients/round: {cfg.clients_per_round}  "
-             f"target accuracy: {cfg.target_accuracy}", ""]
-    header = f"{'seed':>6} {'to_target':>10} {'accuracy':>9} {'f1':>9} {'mcc':>9}"
-    lines.append(header)
-    for r in results:
-        lines.append(f"{r.seed:>6} {format_rounds(r.rounds_to_target, cfg.rounds):>10} "
-                     f"{r.final_accuracy:>9.4f} {r.final_f1:>9.4f} {r.final_mcc:>9.4f}")
-    if results:
-        rounds_mean, rounds_std = _rounds_cells(results, cfg.rounds)
-        acc_m, acc_s = _mean_std([r.final_accuracy for r in results])
-        f1_m, f1_s = _mean_std([r.final_f1 for r in results])
-        mcc_m, mcc_s = _mean_std([r.final_mcc for r in results])
-        if rounds_std:
-            rounds_txt = f"{float(rounds_mean):.1f}±{float(rounds_std):.1f}"
-        else:
-            rounds_txt = rounds_mean
-        lines.append("")
-        lines.append(f"aggregate: rounds {rounds_txt}, "
-                     f"accuracy {acc_m:.4f}±{acc_s:.4f}, f1 {f1_m:.4f}±{f1_s:.4f}, "
-                     f"mcc {mcc_m:.4f}±{mcc_s:.4f}")
+            agg = _aggregate(results, cfg.rounds)
+            order = ("rounds", "accuracy", "f1", "mcc", "loss")
+            writer.writerow(["mean"] + [agg[key][0] for key in order])
+            writer.writerow(["std"] + [agg[key][1] for key in order])
+            lines += ["", f"aggregate: rounds {_pm(agg['rounds'], '.1f')}, "
+                      f"accuracy {_pm(agg['accuracy'], '.4f')}, "
+                      f"f1 {_pm(agg['f1'], '.4f')}, mcc {_pm(agg['mcc'], '.4f')}"]
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -512,15 +449,12 @@ def _write_summary(cfg: RunConfig, results: list[SeedResult], out: Path) -> None
 # Strategy comparison
 # ---------------------------------------------------------------------------
 
+# Parts of a config that may differ between compared configs.
+_FREE_IN_COMPARE = ("strategy", "client", "label", "output_dir")
+
+
 def _comparable_view(cfg: RunConfig) -> dict:
-    view = dataclasses.asdict(cfg)
-    view["dataset"]["synthetic"].pop("seed", None)
-    for key in ("strategy_name", "server_optimizer", "server_learning_rate",
-                "svm_penalty_initial", "svm_penalty_floor", "svm_penalty_schedule",
-                "reg_steps", "reset_server_state", "svm_diagnostics", "label",
-                "output_dir", "client"):
-        view.pop(key, None)
-    return view
+    return {k: v for k, v in dataclasses.asdict(cfg).items() if k not in _FREE_IN_COMPARE}
 
 
 def compare_strategies(configs: list[RunConfig], output_dir) -> list[dict]:
@@ -534,33 +468,26 @@ def compare_strategies(configs: list[RunConfig], output_dir) -> list[dict]:
     for cfg in configs[1:]:
         if _comparable_view(cfg) != reference:
             raise ConfigError(
-                "compare configs must differ only in strategy and client variant")
+                "compare configs must differ only in strategy: only the [strategy] "
+                "and [client] sections, run.label and run.output_dir may differ")
     names = [cfg.algorithm_name() for cfg in configs]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate strategy labels in compare: {names}")
 
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    failures = []
-    for cfg in configs:
-        result = run_experiment(cfg, out / cfg.algorithm_name())
-        failures.extend(result.failed_seeds)
-        res = result.seed_results
-        rounds_mean, rounds_std = _rounds_cells(res, cfg.rounds)
-        acc_m, acc_s = _mean_std([r.final_accuracy for r in res]) if res else (float("nan"),) * 2
-        f1_m, f1_s = _mean_std([r.final_f1 for r in res]) if res else (float("nan"),) * 2
-        mcc_m, mcc_s = _mean_std([r.final_mcc for r in res]) if res else (float("nan"),) * 2
-        rows.append({
-            "strategy": cfg.algorithm_name(),
-            "rounds_mean": rounds_mean, "rounds_std": rounds_std,
-            "accuracy_mean": repr(acc_m), "accuracy_std": repr(acc_s),
-            "f1_mean": repr(f1_m), "f1_std": repr(f1_s),
-            "mcc_mean": repr(mcc_m), "mcc_std": repr(mcc_s),
-        })
+    results = [run_experiment(cfg, out / name) for cfg, name in zip(configs, names)]
+    failures = [failed for result in results for failed in result.failed_seeds]
     if failures:
         raise RuntimeError(f"compare aborted, failed seeds: {failures}")
 
+    rows = []
+    for name, result in zip(names, results):
+        agg = _aggregate(result.seed_results, result.config.rounds)
+        row = {"strategy": name}
+        for key in ("rounds", "accuracy", "f1", "mcc"):
+            row[f"{key}_mean"], row[f"{key}_std"] = agg[key]
+        rows.append(row)
     with open(out / "compare.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=COMPARE_CSV_COLUMNS)
         writer.writeheader()
@@ -570,20 +497,12 @@ def compare_strategies(configs: list[RunConfig], output_dir) -> list[dict]:
 
 
 def render_compare_table(rows: list[dict]) -> str:
-    def num(cell: str, fmt: str = ".4f") -> str:
-        if cell.startswith(">") or cell == "":
-            return cell
-        return format(float(cell), fmt)
-
     lines = [f"{'strategy':<12} {'rounds':>14} {'accuracy':>17} {'f1':>17} {'mcc':>17}"]
     for row in rows:
-        if row["rounds_std"]:
-            rounds = f"{num(row['rounds_mean'], '.1f')}±{num(row['rounds_std'], '.1f')}"
-        else:
-            rounds = row["rounds_mean"]
-        acc = f"{num(row['accuracy_mean'])}±{num(row['accuracy_std'])}"
-        f1 = f"{num(row['f1_mean'])}±{num(row['f1_std'])}"
-        mcc_txt = f"{num(row['mcc_mean'])}±{num(row['mcc_std'])}"
+        rounds, acc, f1, mcc_txt = (
+            _pm((row[f"{key}_mean"], row[f"{key}_std"]), fmt)
+            for key, fmt in (("rounds", ".1f"), ("accuracy", ".4f"),
+                             ("f1", ".4f"), ("mcc", ".4f")))
         lines.append(f"{row['strategy']:<12} {rounds:>14} {acc:>17} {f1:>17} {mcc_txt:>17}")
     return "\n".join(lines)
 
@@ -597,7 +516,7 @@ def sv_sweep(base: RunConfig, embedding_dims: list[int], clients_per_round: list
     """Grid over embedding dimension and participation count, recording
     the class-1 support-vector count at the checkpoint round (seed mean)
     and the final macro-F1."""
-    if base.strategy_name != "svm_margin":
+    if base.strategy.name != "svm_margin":
         raise ConfigError("sweep requires strategy.name = svm_margin")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -607,28 +526,24 @@ def sv_sweep(base: RunConfig, embedding_dims: list[int], clients_per_round: list
         for c in clients_per_round:
             cfg = replace(base, model=replace(base.model, embedding_dim=d),
                           clients_per_round=c)
-            _validate(cfg)
+            validate_config(cfg)
             result = run_experiment(cfg, out / f"d{d}_c{c}")
             if result.failed_seeds:
                 raise RuntimeError(f"sweep (d={d}, C={c}) failed seeds: "
                                    f"{result.failed_seeds}")
             counts = []
-            f1s = []
             for res in result.seed_results:
-                at_checkpoint = [row for row in res.rows if row.round == checkpoint]
-                if not at_checkpoint or at_checkpoint[0].sv_counts is None:
+                at = next((row for row in res.rows if row.round == checkpoint), None)
+                if at is None or at.sv_counts is None:
                     raise RuntimeError(
                         f"sweep (d={d}, C={c}) seed {res.seed}: no SV counts at "
                         f"round {checkpoint}")
-                counts.append(at_checkpoint[0].sv_counts[1])
-                f1s.append(res.final_f1)
+                counts.append(at.sv_counts[1])
             rows.append({"d": d, "C": c, "round": checkpoint,
                          "sv_count": float(np.mean(counts)),
-                         "f1": float(np.mean(f1s))})
+                         "f1": float(np.mean([r.final_f1 for r in result.seed_results]))})
     with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([str(row["d"]), str(row["C"]), str(row["round"]),
-                             repr(row["sv_count"]), repr(row["f1"])])
+        writer = csv.DictWriter(fh, fieldnames=SWEEP_CSV_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
     return rows

@@ -346,17 +346,20 @@ def spreadout_loss(logit_matrix: Tensor,
     return float(loss), grad
 
 
-def selective_aggregate(svm: OvoSvm) -> Tensor:
+def selective_aggregate(svm: OvoSvm) -> tuple[Tensor, tuple[int, ...]]:
     """Global class embeddings from support vectors only: row k is the
     dataset-size-weighted mean of the class-k embeddings that support at
-    least one pair problem involving k."""
+    least one pair problem involving k. Also returns the number of such
+    embeddings per class."""
     rows = []
+    counts = []
     for k in range(svm.num_classes):
         svs = support_vectors_of_class(svm, k)
         if not svs:
             raise ValueError(f"class {k} has no support vectors")
         rows.append(weighted_mean([e for _, e, _ in svs], [w for _, _, w in svs]))
-    return np.vstack(rows)
+        counts.append(len(svs))
+    return np.vstack(rows), tuple(counts)
 
 
 def spreadout_regularize(logit_matrix: Tensor, svm: OvoSvm,
@@ -464,15 +467,12 @@ def run_round(t: int, global_model: Model, dataset, server: ServerState,
             if not bin_model.converged:
                 log.warning("round %d pair %s: solver stopped at gap %.3e",
                             t, pair, bin_model.duality_gap)
-        new_logits = selective_aggregate(svm)
+        new_logits, record.sv_counts = selective_aggregate(svm)
         if strategy.reg_steps > 0:
             new_logits, _ = spreadout_regularize(new_logits, svm, server.logit_opt,
                                                  strategy.reg_steps)
         new_model.logit_matrix[...] = new_logits
         record.lam = lam
-        record.sv_counts = tuple(
-            len(support_vectors_of_class(svm, k))
-            for k in range(global_model.num_classes))
         record.svm = svm
 
     check_finite(new_model.params, f"global model after round {t}")

@@ -4,10 +4,12 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedsvm
 from fedsvm.cli import main as cli_main
 from fedsvm.harness import (
     COMPARE_CSV_COLUMNS,
@@ -84,7 +86,7 @@ def test_defaults_follow_reference_protocol(tmp_path):
     assert cfg.client.batch_size == 64
     assert cfg.client.learning_rate == 0.1
     assert cfg.build_strategy().server_learning_rate == 1e-2
-    assert cfg.svm_penalty_initial == 1.0
+    assert cfg.strategy.svm_penalty_initial == 1.0
 
     path2 = tmp_path / "cfg2.ini"
     path2.write_text("[dataset]\nclients = 40\n\n[strategy]\nname = fedadam\n")
@@ -371,13 +373,25 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["run", str(path)]) == 1
 
 
+def test_cli_eval_stride_override_is_validated(tmp_path, capsys):
+    path = write_config(tmp_path, rounds=2)
+    assert cli_main(["run", str(path), "--eval-stride", "0",
+                     "--output-dir", str(tmp_path / "stride0")]) == 1
+    assert "eval_stride" in capsys.readouterr().err
+    assert not (tmp_path / "stride0").exists()
+
+
 def test_killed_run_leaves_parseable_csv_prefix(tmp_path):
     path = write_config(tmp_path, rounds=100_000, seeds="0")
     outdir = tmp_path / "killed"
+    # The child imports the same fedsvm sources as this test, installed or not.
+    src = str(Path(fedsvm.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "fedsvm.cli", "run", str(path),
          "--output-dir", str(outdir)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
     deadline = time.time() + 30
     rounds_csv = outdir / "rounds.csv"
     while time.time() < deadline:

@@ -288,16 +288,18 @@ def test_selective_aggregate_weighted_mean_of_support_rows():
     }
     alphas = np.array([0.0, 1.0, 0.0, 1.0, 1.0])  # rows: class0 x4, class1 x1
     ovo = OvoSvm(2, {(0, 1): fake_binary(alphas)}, class_samples)
-    w = selective_aggregate(ovo)
+    w, counts = selective_aggregate(ovo)
     assert w[0, 0] == pytest.approx(3.0, abs=1e-12)
     assert w[1, 0] == -1.0
+    assert counts == (2, 1)
 
 
 def test_selective_aggregate_single_client_keeps_rows():
     embeddings = {0: [(np.array([1.0, 2.0]), 4.0)], 1: [(np.array([-1.0, 0.5]), 4.0)]}
     ovo = fit_ovo(embeddings, 1.0)
-    w = selective_aggregate(ovo)
+    w, counts = selective_aggregate(ovo)
     assert np.array_equal(w, np.array([[1.0, 2.0], [-1.0, 0.5]]))
+    assert counts == (1, 1)
 
 
 def test_selective_aggregate_all_svs_equal_sizes_is_plain_mean():
@@ -306,7 +308,8 @@ def test_selective_aggregate_all_svs_equal_sizes_is_plain_mean():
     rows1 = [r + np.array([5.0, 0.0]) for r in (rng.standard_normal(2) for _ in range(3))]
     embeddings = {0: [(r, 2.0) for r in rows0], 1: [(r, 2.0) for r in rows1]}
     ovo = fit_ovo(embeddings, 1e-6)  # vanishing penalty makes every point a support vector
-    w = selective_aggregate(ovo)
+    w, counts = selective_aggregate(ovo)
+    assert counts == (3, 3)
     from fedsvm.numerics import weighted_mean
     assert np.array_equal(w[0], weighted_mean(rows0, [2.0, 2.0, 2.0]))
     assert np.array_equal(w[1], weighted_mean(rows1, [2.0, 2.0, 2.0]))
@@ -318,7 +321,7 @@ def test_spreadout_regularize_strictly_decreases_loss():
                       (rng.standard_normal(3) + 3.0 * np.eye(3)[k], 1.0)]
                   for k in range(3)}
     ovo = fit_ovo(embeddings, 1.0)
-    w = selective_aggregate(ovo)
+    w, _ = selective_aggregate(ovo)
     for steps in (1, 5, 10):
         _, losses = spreadout_regularize(w, ovo, adam_state(1e-3), steps)
         assert len(losses) == steps
