@@ -414,9 +414,8 @@ def _aggregate(results: list[SeedResult], total_rounds: int) -> dict[str, tuple[
     return cells
 
 
-def _pm(cells: tuple[str, str], fmt: str) -> str:
-    """Text "mean±std" of a (mean, std) cell pair; a ">T" cell stays as is."""
-    mean, std = cells
+def _pm(mean: str, std: str, fmt: str) -> str:
+    """Text "mean±std" of a pair of cells; a ">T" cell stays as is."""
     return f"{float(mean):{fmt}}±{float(std):{fmt}}" if std else mean
 
 
@@ -439,9 +438,9 @@ def _write_summary(cfg: RunConfig, results: list[SeedResult], out: Path) -> None
             order = ("rounds", "accuracy", "f1", "mcc", "loss")
             writer.writerow(["mean"] + [agg[key][0] for key in order])
             writer.writerow(["std"] + [agg[key][1] for key in order])
-            lines += ["", f"aggregate: rounds {_pm(agg['rounds'], '.1f')}, "
-                      f"accuracy {_pm(agg['accuracy'], '.4f')}, "
-                      f"f1 {_pm(agg['f1'], '.4f')}, mcc {_pm(agg['mcc'], '.4f')}"]
+            lines += ["", f"aggregate: rounds {_pm(*agg['rounds'], '.1f')}, "
+                      f"accuracy {_pm(*agg['accuracy'], '.4f')}, "
+                      f"f1 {_pm(*agg['f1'], '.4f')}, mcc {_pm(*agg['mcc'], '.4f')}"]
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -476,18 +475,20 @@ def compare_strategies(configs: list[RunConfig], output_dir) -> list[dict]:
 
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = [run_experiment(cfg, out / name) for cfg, name in zip(configs, names)]
-    failures = [failed for result in results for failed in result.failed_seeds]
-    if failures:
-        raise RuntimeError(f"compare aborted, failed seeds: {failures}")
-
     rows = []
-    for name, result in zip(names, results):
-        agg = _aggregate(result.seed_results, result.config.rounds)
+    failures = []
+    for cfg, name in zip(configs, names):
+        result = run_experiment(cfg, out / name)
+        failures.extend(result.failed_seeds)
+        if failures:
+            continue
+        agg = _aggregate(result.seed_results, cfg.rounds)
         row = {"strategy": name}
         for key in ("rounds", "accuracy", "f1", "mcc"):
             row[f"{key}_mean"], row[f"{key}_std"] = agg[key]
         rows.append(row)
+    if failures:
+        raise RuntimeError(f"compare aborted, failed seeds: {failures}")
     with open(out / "compare.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=COMPARE_CSV_COLUMNS)
         writer.writeheader()
@@ -500,7 +501,7 @@ def render_compare_table(rows: list[dict]) -> str:
     lines = [f"{'strategy':<12} {'rounds':>14} {'accuracy':>17} {'f1':>17} {'mcc':>17}"]
     for row in rows:
         rounds, acc, f1, mcc_txt = (
-            _pm((row[f"{key}_mean"], row[f"{key}_std"]), fmt)
+            _pm(row[f"{key}_mean"], row[f"{key}_std"], fmt)
             for key, fmt in (("rounds", ".1f"), ("accuracy", ".4f"),
                              ("f1", ".4f"), ("mcc", ".4f")))
         lines.append(f"{row['strategy']:<12} {rounds:>14} {acc:>17} {f1:>17} {mcc_txt:>17}")
