@@ -319,8 +319,8 @@ def test_bound_on_separated_symmetric_instance():
 
 def test_bound_degenerates_when_test_slack_is_one():
     model, pos, neg = fit_separated_instance()
-    # The origin lies on every hyperplane through it (h . 0 = 0 for any h),
-    # so its slack is exactly 1 whatever rounding the solver leaves in h.
+    # h . 0 = 0 for every normal h, so the origin's slack is exactly 1
+    # whatever rounding the solver leaves in h.
     lhs, rhs, holds = verify_logit_bound(model, pos, neg, np.ones(4), np.zeros(3))
     assert rhs == 0.0 and holds
 
