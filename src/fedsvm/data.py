@@ -1,6 +1,5 @@
-"""Federated datasets: synthetic non-IID generation, IDX image ingestion,
-Dirichlet label-skew partitioning, and a binary container for freezing a
-dataset so multiple strategy runs share identical inputs.
+"""Federated datasets: synthetic non-IID generation, IDX image ingestion
+and Dirichlet label-skew partitioning.
 
 A federated dataset is a list of per-client sample sets plus a
 client-level train/held-out split: evaluation always runs on clients the
@@ -9,17 +8,14 @@ training loop never saw.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
 
-from .numerics import Tensor, check_finite
+from .numerics import Tensor
 
-DATASET_MAGIC = b"FSDS"
-DATASET_VERSION = 1
 HELDOUT_FRACTION = 0.1
 
 ClientData = tuple[Tensor, np.ndarray]  # (features n x P, labels n)
@@ -217,56 +213,3 @@ def load_idx(images_path, labels_path) -> tuple[Tensor, np.ndarray]:
     features = features.astype(np.float64) / 255.0
     labels = np.frombuffer(label_raw, dtype=np.uint8).astype(np.int64)
     return features, labels
-
-
-# ---------------------------------------------------------------------------
-# Frozen dataset container
-# ---------------------------------------------------------------------------
-
-def save_dataset(dataset: FederatedDataset, path) -> None:
-    """Container layout: magic "FSDS", u32 version, u32 JSON header
-    length, JSON header (dimensions, split, generation parameters), then
-    per client a u32 sample count, n*P little-endian f64 features and n
-    u32 labels."""
-    header = {
-        "num_clients": dataset.num_clients,
-        "num_classes": dataset.num_classes,
-        "feature_dim": dataset.feature_dim,
-        "train_client_indices": list(dataset.train_client_indices),
-        "heldout_client_indices": list(dataset.heldout_client_indices),
-        "spec": None if dataset.spec is None else vars(dataset.spec),
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<II", DATASET_VERSION, len(blob)))
-        fh.write(blob)
-        for features, labels in dataset.clients:
-            fh.write(struct.pack("<I", features.shape[0]))
-            fh.write(features.astype("<f8").tobytes())
-            fh.write(labels.astype("<u4").tobytes())
-
-
-def load_dataset(path) -> FederatedDataset:
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != DATASET_MAGIC:
-            raise ValueError("bad dataset container magic")
-        version, blob_len = struct.unpack("<II", _read_exact(fh, 8, "header"))
-        if version != DATASET_VERSION:
-            raise ValueError(f"unsupported dataset container version {version}")
-        header = json.loads(_read_exact(fh, blob_len, "JSON header"))
-        p = header["feature_dim"]
-        clients = []
-        for _ in range(header["num_clients"]):
-            (n,) = struct.unpack("<I", _read_exact(fh, 4, "client size"))
-            feats = np.frombuffer(_read_exact(fh, 8 * n * p, "features"),
-                                  dtype="<f8").reshape(n, p).astype(np.float64)
-            labs = np.frombuffer(_read_exact(fh, 4 * n, "labels"),
-                                 dtype="<u4").astype(np.int64)
-            clients.append((check_finite(feats, "dataset features"), labs))
-    spec = None
-    if header.get("spec"):
-        spec = SyntheticSpec(**header["spec"])
-    return FederatedDataset(clients, header["num_classes"], p,
-                            tuple(header["train_client_indices"]),
-                            tuple(header["heldout_client_indices"]), spec=spec)

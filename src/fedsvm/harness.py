@@ -267,9 +267,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("run.eval_stride must be >= 1")
     train_clients = cfg.num_clients - max(1, int(round(HELDOUT_FRACTION * cfg.num_clients)))
     if cfg.clients_per_round > train_clients:
+        key = "clients" if ds.kind == "synthetic" else "partition_clients"
         raise ConfigError(
             f"run.clients_per_round = {cfg.clients_per_round} exceeds the "
-            f"{train_clients} train clients implied by dataset.clients = {cfg.num_clients}")
+            f"{train_clients} train clients implied by dataset.{key} = {cfg.num_clients}")
     if cfg.clients_per_round < 1:
         raise ConfigError("run.clients_per_round must be >= 1")
     if cfg.sv_checkpoint_round is not None and cfg.sv_checkpoint_round < 1:

@@ -12,16 +12,12 @@ the test suite.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .numerics import Tensor, as_tensor, check_finite
-
-CHECKPOINT_MAGIC = b"FSVM"
-CHECKPOINT_VERSION = 1
+from .numerics import Tensor, as_tensor
 
 
 class Model:
@@ -29,11 +25,11 @@ class Model:
     the encoder layers as (weight, bias) pairs and the logit matrix as
     reshaped views into it.
 
-    The vector order is the checkpoint order: encoder layers in order,
-    weight then bias, then the logit matrix, all row-major. Layer weights
-    have shape (out, in); activations are row vectors, so a layer
-    computes ``relu(x @ W.T + b)`` except the last encoder layer, which
-    stays linear. The same structure doubles as the container for
+    The vector holds the encoder layers in order, weight then bias, then
+    the logit matrix, all row-major. Layer weights have shape (out, in);
+    activations are row vectors, so a layer computes
+    ``relu(x @ W.T + b)`` except the last encoder layer, which stays
+    linear. The same structure doubles as the container for
     model-shaped gradients. The constructor copies its inputs into a new
     buffer; ``with_params`` binds an existing one.
     """
@@ -132,10 +128,6 @@ def predict(model: Model, inputs: Tensor) -> np.ndarray:
     return np.argmax(logits(model, inputs), axis=1)
 
 
-def class_probabilities(model: Model, inputs: Tensor) -> Tensor:
-    return _softmax(logits(model, inputs))
-
-
 def _softmax(scores: Tensor) -> Tensor:
     shifted = scores - scores.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -204,44 +196,3 @@ def loss_and_gradient(model: Model, batch: Batch) -> tuple[float, Model]:
     grads = encoder_backward(model, cache, dscores @ model.logit_matrix)
     grads.logit_matrix[...] = dscores.T @ emb
     return loss, grads
-
-
-def save_model(model: Model, path) -> None:
-    """Checkpoint layout: magic "FSVM", u32 version, u32 layer count, per
-    layer (u32 out, u32 in), u32 K, u32 d, u64 value count, then the
-    flattened parameters. All integers and floats little-endian."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(model.encoder)))
-        for w, _ in model.encoder:
-            fh.write(struct.pack("<II", w.shape[0], w.shape[1]))
-        fh.write(struct.pack("<II", model.num_classes, model.embedding_dim))
-        fh.write(struct.pack("<Q", model.params.size))
-        fh.write(model.params.astype("<f8").tobytes())
-
-
-def _read_exact(fh: BinaryIO, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError("truncated checkpoint file")
-    return data
-
-
-def load_model(path) -> Model:
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != CHECKPOINT_MAGIC:
-            raise ValueError("bad checkpoint magic")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (layers,) = struct.unpack("<I", _read_exact(fh, 4))
-        shapes = [struct.unpack("<II", _read_exact(fh, 8)) for _ in range(layers)]
-        k, d = struct.unpack("<II", _read_exact(fh, 8))
-        (count,) = struct.unpack("<Q", _read_exact(fh, 8))
-        flat = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8").astype(np.float64)
-    encoder = [(np.zeros((out, inp)), np.zeros(out)) for out, inp in shapes]
-    template = Model(encoder, np.zeros((k, d)))
-    model = template.with_params(flat)
-    check_finite(model.params, "checkpoint parameters")
-    return model

@@ -83,10 +83,10 @@ class PenaltySchedule:
     """Per-round SVM slack-penalty coefficient: linear decay from
     ``initial`` to ``floor`` over the run (or its time reversal)."""
 
-    initial: float = 1.0
-    floor: float = 0.01
-    total_rounds: int = 1
-    mode: str = DECREASING
+    initial: float
+    floor: float
+    total_rounds: int
+    mode: str
 
     def __post_init__(self):
         if self.initial <= 0 or self.floor <= 0:
@@ -109,12 +109,12 @@ def penalty_value(schedule: PenaltySchedule, t: int) -> float:
 
 @dataclass
 class ServerStrategy:
-    kind: str = FEDAVG
-    server_optimizer: str = ADAM
-    server_learning_rate: float = 1e-2
-    schedule: PenaltySchedule | None = None
-    reg_steps: int = 1
-    reset_server_state: bool = False
+    kind: str
+    server_optimizer: str
+    server_learning_rate: float
+    schedule: PenaltySchedule | None
+    reg_steps: int
+    reset_server_state: bool
 
     def __post_init__(self):
         if self.kind not in (FEDAVG, FEDOPT, FEDAWS, SVM_MARGIN):
@@ -467,10 +467,13 @@ def run_round(t: int, global_model: Model, dataset, server: ServerState,
             if not bin_model.converged:
                 log.warning("round %d pair %s: solver stopped at gap %.3e",
                             t, pair, bin_model.duality_gap)
-        new_logits, record.sv_counts = selective_aggregate(svm)
-        if strategy.reg_steps > 0:
-            new_logits, _ = spreadout_regularize(new_logits, svm, server.logit_opt,
-                                                 strategy.reg_steps)
+        try:
+            new_logits, record.sv_counts = selective_aggregate(svm)
+            if strategy.reg_steps > 0:
+                new_logits, _ = spreadout_regularize(new_logits, svm, server.logit_opt,
+                                                     strategy.reg_steps)
+        except ValueError as err:
+            raise RuntimeError(f"round {t}: {err}") from err
         new_model.logit_matrix[...] = new_logits
         record.lam = lam
         record.svm = svm

@@ -10,7 +10,6 @@ from .solver import (
     format_diagnostics,
     hyperplane,
     support_vectors_of_class,
-    sv_counts,
     verify_logit_bound,
 )
 
@@ -26,6 +25,5 @@ __all__ = [
     "format_diagnostics",
     "hyperplane",
     "support_vectors_of_class",
-    "sv_counts",
     "verify_logit_bound",
 ]

@@ -237,10 +237,6 @@ def hyperplane(svm: OvoSvm, k: int, kp: int) -> tuple[Tensor, float]:
     return -model.normal, -model.bias
 
 
-def sv_counts(svm: OvoSvm) -> list[int]:
-    return [len(support_vectors_of_class(svm, k)) for k in range(svm.num_classes)]
-
-
 def format_diagnostics(svm: OvoSvm) -> str:
     """Per-pair text table: support-vector count, duality gap, normal length."""
     lines = ["pair        #sv   duality_gap    |normal|"]

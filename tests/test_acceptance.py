@@ -25,6 +25,8 @@ from fedsvm.model import (
 )
 from fedsvm.numerics import finite_difference_gradient, relative_error
 from fedsvm.strategies import (
+    ADAM,
+    DECREASING,
     FEDAVG,
     FEDOPT,
     PROX,
@@ -265,6 +267,12 @@ def _identity_dataset(equal_sizes=False):
         dirichlet_alpha=0.4, class_separation=3.0, noise_sigma=0.8, seed=123))
 
 
+def _fedavg_server():
+    return ServerState.create(ServerStrategy(
+        kind=FEDAVG, server_optimizer=ADAM, server_learning_rate=1e-2, schedule=None,
+        reg_steps=1, reset_server_state=False))
+
+
 def test_criterion_3_reduction_identities():
     dataset = _identity_dataset()
     base_model = init_model(dataset.feature_dim, [6], 4, dataset.num_classes,
@@ -273,9 +281,10 @@ def test_criterion_3_reduction_identities():
 
     # (a) A unit-rate SGD server on the pseudo-gradient is weighted averaging.
     m_avg, m_opt = base_model.copy(), base_model.copy()
-    s_avg = ServerState.create(ServerStrategy(kind=FEDAVG))
-    s_opt = ServerState.create(ServerStrategy(kind=FEDOPT, server_optimizer=SGD,
-                                              server_learning_rate=1.0))
+    s_avg = _fedavg_server()
+    s_opt = ServerState.create(ServerStrategy(
+        kind=FEDOPT, server_optimizer=SGD, server_learning_rate=1.0, schedule=None,
+        reg_steps=1, reset_server_state=False))
     identity_a = True
     for t in range(20):
         m_avg, _ = run_round(t, m_avg, dataset, s_avg, cfg, 4, seed=42)
@@ -286,8 +295,8 @@ def test_criterion_3_reduction_identities():
     prox_cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.1,
                             variant=PROX, prox_mu=0.0)
     m_van, m_prox = base_model.copy(), base_model.copy()
-    s1 = ServerState.create(ServerStrategy(kind=FEDAVG))
-    s2 = ServerState.create(ServerStrategy(kind=FEDAVG))
+    s1 = _fedavg_server()
+    s2 = _fedavg_server()
     identity_b = True
     for t in range(20):
         m_van, _ = run_round(t, m_van, dataset, s1, cfg, 4, seed=43)
@@ -300,10 +309,11 @@ def test_criterion_3_reduction_identities():
     m_deg = init_model(eq_dataset.feature_dim, [6], 4, eq_dataset.num_classes,
                        np.random.default_rng(1))
     m_ref = m_deg.copy()
-    schedule = PenaltySchedule(initial=1e-6, floor=1e-6, total_rounds=20)
+    schedule = PenaltySchedule(initial=1e-6, floor=1e-6, total_rounds=20, mode=DECREASING)
     s_svm = ServerState.create(ServerStrategy(
-        kind=SVM_MARGIN, server_learning_rate=1e-2, schedule=schedule, reg_steps=0))
-    s_ref = ServerState.create(ServerStrategy(kind=FEDAVG))
+        kind=SVM_MARGIN, server_optimizer=ADAM, server_learning_rate=1e-2,
+        schedule=schedule, reg_steps=0, reset_server_state=False))
+    s_ref = _fedavg_server()
     identity_c = True
     for t in range(20):
         m_deg, rec = run_round(t, m_deg, eq_dataset, s_svm, cfg, 4, seed=44)

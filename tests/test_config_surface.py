@@ -105,7 +105,9 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.client == ClientConfig(epochs=1, batch_size=64, learning_rate=0.1,
                                       variant="vanilla", prox_mu=0.01, moon_coeff=1.0,
                                       moon_temperature=0.5)
-    assert cfg.build_strategy() == ServerStrategy(kind=FEDAVG)
+    assert cfg.build_strategy() == ServerStrategy(
+        kind=FEDAVG, server_optimizer=ADAM, server_learning_rate=1e-2,
+        schedule=None, reg_steps=1, reset_server_state=False)
     assert cfg.rounds == 100
     assert cfg.clients_per_round == 8
     assert cfg.target_accuracy == 0.8

@@ -8,10 +8,8 @@ from fedsvm.data import (
     SyntheticSpec,
     generate_synthetic,
     heldout_pool,
-    load_dataset,
     load_idx,
     partition_by_client,
-    save_dataset,
 )
 
 
@@ -207,25 +205,3 @@ def test_idx_count_mismatch_rejected(tmp_path):
     lab.write_bytes(struct.pack(">II", 0x801, 1) + bytes(1))
     with pytest.raises(ValueError, match="mismatch"):
         load_idx(img, lab)
-
-
-# ---------------------------------------------------------------------------
-# Frozen dataset container
-# ---------------------------------------------------------------------------
-
-def test_container_roundtrip(tmp_path):
-    ds = generate_synthetic(spec())
-    path = tmp_path / "data.fsds"
-    save_dataset(ds, path)
-    loaded = load_dataset(path)
-    assert dataset_fingerprint(loaded) == dataset_fingerprint(ds)
-    assert loaded.train_client_indices == ds.train_client_indices
-    assert loaded.heldout_client_indices == ds.heldout_client_indices
-    assert loaded.spec == ds.spec
-
-
-def test_container_bad_magic(tmp_path):
-    path = tmp_path / "data.fsds"
-    path.write_bytes(b"XXXX" + bytes(16))
-    with pytest.raises(ValueError, match="magic"):
-        load_dataset(path)

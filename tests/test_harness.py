@@ -118,6 +118,14 @@ def test_too_many_clients_per_round_names_both_fields(tmp_path):
     assert "dataset.clients" in str(err.value)
 
 
+def test_too_many_clients_per_round_names_the_idx_key(tmp_path):
+    path = tmp_path / "idx.ini"
+    path.write_text("[dataset]\nkind = idx\nimages = i.idx\nlabels = l.idx\n"
+                    "partition_clients = 3\n\n[run]\nclients_per_round = 3\n")
+    with pytest.raises(ConfigError, match=r"dataset\.partition_clients = 3"):
+        parse_config(path)
+
+
 def test_bad_type_reports_field(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[run]\nrounds = soon\n")

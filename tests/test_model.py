@@ -4,13 +4,12 @@ import pytest
 from fedsvm.model import (
     Batch,
     Model,
-    class_probabilities,
+    _softmax,
     encode,
     init_model,
-    load_model,
+    logits,
     loss_and_gradient,
     predict,
-    save_model,
 )
 from fedsvm.numerics import finite_difference_gradient, relative_error
 from fedsvm.strategies import pseudo_gradient
@@ -103,7 +102,7 @@ def test_loss_vanishes_with_growing_margin():
 def test_softmax_rows_sum_to_one():
     m = small_model(8)
     x = np.random.default_rng(9).standard_normal((32, m.input_dim)) * 30
-    probs = class_probabilities(m, x)
+    probs = _softmax(logits(m, x))
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(probs >= 0)
 
@@ -181,32 +180,6 @@ def test_structural_compatibility_is_equivalence_like():
     assert np.all(pseudo_gradient(a, a) == 0.0)
     with pytest.raises(ValueError, match="structurally incompatible"):
         pseudo_gradient(a, other)
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    m = small_model(21)
-    path = tmp_path / "model.bin"
-    save_model(m, path)
-    loaded = load_model(path)
-    assert np.array_equal(loaded.params, m.params)
-    assert loaded.layout == m.layout
-
-
-def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError, match="magic"):
-        load_model(path)
-
-
-def test_checkpoint_truncated(tmp_path):
-    m = small_model(22)
-    path = tmp_path / "model.bin"
-    save_model(m, path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-9])
-    with pytest.raises(ValueError, match="truncated"):
-        load_model(path)
 
 
 def test_labels_out_of_range_rejected():

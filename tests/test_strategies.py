@@ -6,6 +6,8 @@ from fedsvm.model import Batch, Model, init_model, loss_and_gradient
 from fedsvm.numerics import finite_difference_gradient, relative_error
 from fedsvm.optim import adam_state, sgd_state, sgd_step
 from fedsvm.strategies import (
+    ADAM,
+    DECREASING,
     FEDAVG,
     FEDAWS,
     FEDOPT,
@@ -329,7 +331,7 @@ def test_spreadout_regularize_strictly_decreases_loss():
 
 
 def test_penalty_schedule_values():
-    sched = PenaltySchedule(initial=1.0, floor=0.01, total_rounds=100)
+    sched = PenaltySchedule(initial=1.0, floor=0.01, total_rounds=100, mode=DECREASING)
     assert penalty_value(sched, 0) == 1.0
     assert penalty_value(sched, 99) == pytest.approx(0.01)
     values = [penalty_value(sched, t) for t in range(100)]
@@ -352,8 +354,17 @@ def small_dataset(seed=0, clients=6, classes=3, dim=4):
         dirichlet_alpha=0.5, class_separation=3.0, noise_sigma=0.5, seed=seed))
 
 
-def make_server(kind=FEDAVG, **kwargs):
-    return ServerState.create(ServerStrategy(kind=kind, **kwargs))
+def make_server(kind=FEDAVG, server_optimizer=ADAM, server_learning_rate=1e-2,
+                schedule=None, reg_steps=1):
+    return ServerState.create(ServerStrategy(
+        kind=kind, server_optimizer=server_optimizer,
+        server_learning_rate=server_learning_rate, schedule=schedule,
+        reg_steps=reg_steps, reset_server_state=False))
+
+
+def schedule_over(total_rounds):
+    return PenaltySchedule(initial=1.0, floor=0.01, total_rounds=total_rounds,
+                           mode=DECREASING)
 
 
 def test_run_round_single_client_fedavg_equals_client_model():
@@ -379,7 +390,7 @@ def test_run_round_deterministic_given_seed():
     outs = []
     for _ in range(2):
         server = make_server(SVM_MARGIN, server_learning_rate=1e-2,
-                             schedule=PenaltySchedule(total_rounds=3), reg_steps=1)
+                             schedule=schedule_over(3), reg_steps=1)
         m = model.copy()
         recs = []
         for t in range(3):
@@ -410,7 +421,7 @@ def test_svm_margin_encoder_matches_fedavg_encoder():
                        np.random.default_rng(3))
     cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.05)
     server = make_server(SVM_MARGIN, server_learning_rate=1e-2,
-                         schedule=PenaltySchedule(total_rounds=1), reg_steps=1)
+                         schedule=schedule_over(1), reg_steps=1)
     m_svm, rec = run_round(0, model.copy(), dataset, server, cfg, 3, seed=13)
     m_avg, _ = run_round(0, model.copy(), dataset, make_server(), cfg, 3, seed=13)
     for (w1, b1), (w2, b2) in zip(m_svm.encoder, m_avg.encoder):
@@ -430,7 +441,8 @@ def test_svm_margin_degenerate_equals_fedavg_logits():
     model = init_model(dataset.feature_dim, [5], 3, dataset.num_classes,
                        np.random.default_rng(4))
     cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.05)
-    schedule = PenaltySchedule(initial=1e-6, floor=1e-6, total_rounds=4)
+    schedule = PenaltySchedule(initial=1e-6, floor=1e-6, total_rounds=4,
+                               mode=DECREASING)
     server = make_server(SVM_MARGIN, server_learning_rate=1e-2,
                          schedule=schedule, reg_steps=0)
     server_avg = make_server()
@@ -441,6 +453,18 @@ def test_svm_margin_degenerate_equals_fedavg_logits():
         assert rec.sv_counts == (3, 3, 3)
         assert np.array_equal(m_svm.logit_matrix, m_avg.logit_matrix)
         assert np.array_equal(m_svm.params, m_avg.params)
+
+
+def test_svm_stage_failure_names_its_round():
+    # With logit rows of norm ~1e6 and no client training, every dual
+    # coefficient falls below the support-vector threshold, so selective
+    # aggregation finds no support vector for class 0.
+    dataset = generate_synthetic(SyntheticSpec(num_clients=10, num_classes=2, seed=0))
+    model = init_model(dataset.feature_dim, [8], 2, 2, np.random.default_rng(0))
+    model.logit_matrix *= 1e6
+    server = make_server(SVM_MARGIN, schedule=schedule_over(4))
+    with pytest.raises(RuntimeError, match="round 3: class 0 has no support vectors"):
+        run_round(3, model, dataset, server, ClientConfig(learning_rate=0.0), 1, seed=0)
 
 
 def test_sampling_frequencies_are_uniform():
@@ -482,7 +506,7 @@ def test_round_rewrites_only_its_own_aggregate(kind):
     cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.05,
                        variant=MOON, moon_coeff=1.0)
     server = make_server(kind, server_learning_rate=1e-2,
-                         schedule=PenaltySchedule(total_rounds=1))
+                         schedule=schedule_over(1))
     before = model.params.copy()
     new_model, rec = run_round(0, model, dataset, server, cfg, 3, seed=23)
     assert np.array_equal(model.params, before)

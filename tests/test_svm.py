@@ -9,7 +9,6 @@ from fedsvm.svm import (
     format_diagnostics,
     hyperplane,
     support_vectors_of_class,
-    sv_counts,
     verify_logit_bound,
 )
 
@@ -121,10 +120,10 @@ def test_separable_normal_scales_inversely():
 
 
 def clustered_problem(m, d, seed, repeated):
-    """Two classes of m/2 embeddings around opposite cluster centres, as
-    benchmarks/bench_svm.py draws them. With ``repeated``, rows recur
-    within each class and across the classes, so that pairs of zero
-    curvature occur."""
+    """Two classes of m/2 unit-variance Gaussian embeddings around
+    opposite cluster centres at distance 1.5 from the origin. With
+    ``repeated``, rows recur within each class and across the classes, so
+    that pairs of zero curvature occur."""
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(d)
     direction /= np.linalg.norm(direction)
@@ -287,11 +286,12 @@ def test_ovo_requires_every_class():
 
 
 def test_diagnostics_table_shape():
-    text = format_diagnostics(simplex_ovo())
+    ovo = simplex_ovo()
+    text = format_diagnostics(ovo)
     lines = text.splitlines()
     assert len(lines) == 1 + 3
     assert "duality_gap" in lines[0]
-    assert sv_counts(simplex_ovo()) == [1, 1, 1]
+    assert [len(support_vectors_of_class(ovo, k)) for k in range(3)] == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
