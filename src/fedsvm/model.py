@@ -11,7 +11,6 @@ the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,21 +35,24 @@ class Model:
 
     def __init__(self, encoder: Sequence[tuple[Tensor, Tensor]], logit_matrix: Tensor):
         arrays = [as_tensor(a) for layer in encoder for a in layer] + [as_tensor(logit_matrix)]
-        self._bind(tuple(a.shape for a in arrays),
+        spans = []
+        offset = 0
+        for a in arrays:
+            spans.append((offset, offset + a.size, a.shape))
+            offset += a.size
+        self._bind(tuple(a.shape for a in arrays), tuple(spans),
                    np.concatenate([a.ravel() for a in arrays]))
 
-    def _bind(self, layout: tuple[tuple[int, ...], ...], params: Tensor) -> None:
+    def _bind(self, layout: tuple[tuple[int, ...], ...],
+              spans: tuple[tuple[int, int, tuple[int, ...]], ...], params: Tensor) -> None:
+        """Bind ``params`` with one view per ``(start, end, shape)`` span."""
         params = np.ascontiguousarray(params, dtype=np.float64)
-        size = sum(math.prod(shape) for shape in layout)
+        size = spans[-1][1]
         if params.shape != (size,):
             raise ValueError(f"flat vector has {params.size} entries, model needs {size}")
-        views = []
-        offset = 0
-        for shape in layout:
-            end = offset + math.prod(shape)
-            views.append(params[offset:end].reshape(shape))
-            offset = end
+        views = [params[start:end].reshape(shape) for start, end, shape in spans]
         self.layout = layout
+        self._spans = spans
         self.params = params
         self.encoder = list(zip(views[0:-1:2], views[1:-1:2]))
         self.logit_matrix = views[-1]
@@ -59,7 +61,7 @@ class Model:
         """A model of this layout bound to ``flat`` without copying it;
         raises ValueError when the length does not match."""
         model = Model.__new__(Model)
-        model._bind(self.layout, flat)
+        model._bind(self.layout, self._spans, flat)
         return model
 
     @property
@@ -162,8 +164,8 @@ def encoder_backward(model: Model, cache, d_emb: Tensor) -> Model:
     for i in range(last, -1, -1):
         dz = dh if i == last else dh * (pre[i] > 0.0)
         gw, gb = grads.encoder[i]
-        gw[...] = dz.T @ acts[i]
-        gb[...] = dz.sum(axis=0)
+        np.matmul(dz.T, acts[i], out=gw)
+        dz.sum(axis=0, out=gb)
         if i > 0:
             dh = dz @ model.encoder[i][0]
     return grads
@@ -178,21 +180,23 @@ def loss_and_gradient(model: Model, batch: Batch) -> tuple[float, Model]:
     """
     x = batch.inputs
     y = batch.labels
-    if np.any(y < 0) or np.any(y >= model.num_classes):
+    if y.min() < 0 or y.max() >= model.num_classes:
         raise ValueError("labels out of range")
     bsz = x.shape[0]
 
     emb, cache = encode_with_cache(model, x)
     scores = emb @ model.logit_matrix.T
     probs = _softmax(scores)
-    picked = probs[np.arange(bsz), y]
+    rows = np.arange(bsz)
+    picked = probs[rows, y]
     loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
     if not np.isfinite(loss):
         raise ValueError("non-finite loss")
 
-    dscores = probs.copy()
-    dscores[np.arange(bsz), y] -= 1.0
+    # The score gradient is (probs - onehot(y)) / B, built in place.
+    dscores = probs
+    dscores[rows, y] -= 1.0
     dscores /= bsz
     grads = encoder_backward(model, cache, dscores @ model.logit_matrix)
-    grads.logit_matrix[...] = dscores.T @ emb
+    np.matmul(dscores.T, emb, out=grads.logit_matrix)
     return loss, grads

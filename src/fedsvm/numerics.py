@@ -24,7 +24,7 @@ def as_tensor(values, shape=None) -> Tensor:
 
 
 def check_finite(arr: Tensor, what: str = "tensor") -> Tensor:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"non-finite values in {what}")
     return arr
 

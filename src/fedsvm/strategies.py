@@ -234,8 +234,14 @@ def client_update(n: int, global_model: Model, data: tuple[Tensor, np.ndarray],
     if features.shape[0] == 0:
         raise ValueError(f"client {n}: empty dataset")
 
-    model = global_model.copy()
-    opt = sgd_state(config.learning_rate) if config.learning_rate > 0 else None
+    # A positive rate binds the model to a new vector at every step, so
+    # the global model is never written to and needs no copy.
+    if config.learning_rate > 0:
+        model = global_model
+        opt = sgd_state(config.learning_rate)
+    else:
+        model = global_model.copy()
+        opt = None
 
     use_prox = config.variant == PROX and config.prox_mu != 0.0
     use_moon = config.variant == MOON and config.moon_coeff != 0.0

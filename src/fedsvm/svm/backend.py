@@ -37,27 +37,34 @@ def sweep(gram, y, lam, alpha, grad, eps):
     diag = np.diagonal(gram)
     curvature = np.maximum(diag[:, None] + diag - 2.0 * gram,
                            CURVATURE_FLOOR * float(diag.max()))
-    q = gram * np.outer(y, y)
+    q = gram * (y[:, None] * y)
     neg_y = -y
     positive = y > 0
-    up = np.where(positive, alpha < lam, alpha > 0.0)
-    low = np.where(positive, alpha > 0.0, alpha < lam)
+    below_cap = alpha < lam
+    above_zero = alpha > 0.0
+    up = np.where(positive, below_cap, above_zero)
+    low = np.where(positive, above_zero, below_cap)
+    # The per-update bookkeeping runs on Python scalars, which cost a
+    # fraction of numpy scalars at these sizes.
+    labels = y.tolist()
     limit = m * (m - 1) // 2
     changed = 0
     while changed < limit:
         score = neg_y * grad
         up_score = np.where(up, score, -np.inf)
-        i = up_score.argmax()
+        i = int(up_score.argmax())
         violation = up_score[i] - np.where(low, score, np.inf)
-        if not violation.max() > eps:
+        # The entry at the argmax is the maximum (a NaN included), read
+        # without a reduction.
+        if not violation[violation.argmax()] > eps:
             break
         # Second-order gain b^2 / a over the indices that violate against i.
         np.maximum(violation, 0.0, out=violation)
         violation *= violation
         violation /= curvature[i]
-        j = violation.argmax()
-        ai, aj, yi, yj = float(alpha[i]), float(alpha[j]), y[i], y[j]
-        gi, gj, a = float(grad[i]), float(grad[j]), float(curvature[i, j])
+        j = int(violation.argmax())
+        ai, aj, yi, yj = alpha.item(i), alpha.item(j), labels[i], labels[j]
+        gi, gj, a = grad.item(i), grad.item(j), curvature.item(i, j)
         if yi != yj:
             delta = (-gi - gj) / a
             diff = ai - aj
@@ -91,8 +98,13 @@ def sweep(gram, y, lam, alpha, grad, eps):
         grad += (ni - ai) * q[i] + (nj - aj) * q[j]
         alpha[i] = ni
         alpha[j] = nj
-        for k, ak, yk in ((i, ni, yi), (j, nj, yj)):
-            up[k] = ak < lam if yk > 0 else ak > 0.0
-            low[k] = ak > 0.0 if yk > 0 else ak < lam
+        if yi > 0:
+            up[i], low[i] = ni < lam, ni > 0.0
+        else:
+            up[i], low[i] = ni > 0.0, ni < lam
+        if yj > 0:
+            up[j], low[j] = nj < lam, nj > 0.0
+        else:
+            up[j], low[j] = nj > 0.0, nj < lam
         changed += 1
     return changed

@@ -48,9 +48,11 @@ class SvmProblem:
         m = self.samples.shape[0]
         if self.samples.ndim != 2 or m < 2:
             raise ValueError("need at least two samples in an M x d matrix")
-        if self.labels.shape != (m,) or not np.all(np.abs(self.labels) == 1.0):
+        positives = np.count_nonzero(self.labels == 1.0)
+        if (self.labels.shape != (m,)
+                or positives + np.count_nonzero(self.labels == -1.0) != m):
             raise ValueError("labels must be +-1, one per sample")
-        if np.all(self.labels > 0) or np.all(self.labels < 0):
+        if positives in (0, m):
             raise ValueError("both labels must be present")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
@@ -77,18 +79,21 @@ def _recover_bias(alphas: Tensor, margins_wo_bias: Tensor, y: Tensor,
     """Bias from free support vectors, else midpoint of the KKT bracket."""
     free = (alphas > ALPHA_TOL) & (alphas < lam - ALPHA_TOL)
     residual = y - margins_wo_bias
-    if np.any(free):
-        return float(np.mean(residual[free]))
-    at_zero = alphas <= ALPHA_TOL
-    at_cap = ~at_zero
-    lower = residual[(at_zero & (y > 0)) | (at_cap & (y < 0))]
-    upper = residual[(at_zero & (y < 0)) | (at_cap & (y > 0))]
+    if free.any():
+        residual = residual[free]
+        # The sum over the count is what np.mean computes, bit for bit.
+        return float(residual.sum() / residual.size)
+    # A bound vector at zero with y > 0, or at the cap with y < 0, bounds
+    # the bias from below; every other one bounds it from above.
+    below = (alphas <= ALPHA_TOL) == (y > 0)
+    lower = residual[below]
+    upper = residual[~below]
     if lower.size and upper.size:
-        return float((np.max(lower) + np.min(upper)) / 2.0)
+        return float((lower.max() + upper.min()) / 2.0)
     if lower.size:
-        return float(np.max(lower))
+        return float(lower.max())
     if upper.size:
-        return float(np.min(upper))
+        return float(upper.min())
     return 0.0
 
 
@@ -106,7 +111,7 @@ def fit_binary(problem: SvmProblem, max_iters: int | None = None,
     y = problem.labels
     lam = float(problem.lam)
     m = x.shape[0]
-    if np.all(np.all(x == x[0], axis=1)):
+    if (x == x[0]).all():
         raise ValueError("degenerate problem: all samples identical")
     if max_iters is None:
         max_iters = 10 * m
@@ -132,15 +137,15 @@ def fit_binary(problem: SvmProblem, max_iters: int | None = None,
         bias = _recover_bias(alphas, margins_wo_bias, y, lam)
         slacks = np.maximum(0.0, 1.0 - y * (margins_wo_bias + bias))
         wsq = float(normal @ normal)
-        primal = 0.5 * wsq + lam * float(np.sum(slacks))
-        dual = float(np.sum(alphas)) - 0.5 * wsq
+        primal = 0.5 * wsq + lam * float(slacks.sum())
+        dual = float(alphas.sum()) - 0.5 * wsq
         gap = (primal - dual) / max(1.0, abs(primal))
         dual_history.append(dual)
         if gap < tol or (changed == 0 and eps == EPS_FLOOR):
             break
         eps = max(0.01 * eps, EPS_FLOOR)
 
-    support = tuple(int(i) for i in np.flatnonzero(alphas > ALPHA_TOL))
+    support = tuple((alphas > ALPHA_TOL).nonzero()[0].tolist())
     return BinarySvmModel(
         normal=normal,
         bias=bias,
@@ -191,11 +196,18 @@ def fit_ovo(class_embeddings: Mapping[int, Sequence[tuple[Tensor, float]]],
                             for i, (e, w) in enumerate(entries)]
 
     blocks = [np.array([e for _, e, _ in class_samples[k]]) for k in classes]
+    # Label vectors by (positive, negative) count: one per round when every
+    # class lists the same clients.
+    pair_labels = {}
     models = {}
     for k in classes:
         for kp in classes[k + 1:]:
             samples = np.concatenate((blocks[k], blocks[kp]))
-            labels = np.concatenate((np.ones(len(blocks[k])), -np.ones(len(blocks[kp]))))
+            counts = (len(blocks[k]), len(blocks[kp]))
+            labels = pair_labels.get(counts)
+            if labels is None:
+                labels = pair_labels[counts] = np.concatenate(
+                    (np.ones(counts[0]), -np.ones(counts[1])))
             try:
                 problem = SvmProblem(samples, labels, lam)
                 models[(k, kp)] = fit_binary(problem, max_iters=max_iters, tol=tol)
@@ -215,12 +227,10 @@ def support_vectors_of_class(svm: OvoSvm, k: int) -> list[tuple[int, Tensor, flo
         if kp == k:
             continue
         a, b = (k, kp) if k < kp else (kp, k)
-        model = svm.models[(a, b)]
-        n_pos = len(svm.class_samples[a])
-        offset = 0 if k == a else n_pos
-        for local in range(len(entries)):
-            if model.alphas[offset + local] > ALPHA_TOL:
-                seen.add(local)
+        offset = 0 if k == a else len(svm.class_samples[a])
+        end = offset + len(entries)
+        seen.update(i - offset for i in svm.models[(a, b)].support_indices
+                    if offset <= i < end)
     return [entries[i] for i in sorted(seen)]
 
 
