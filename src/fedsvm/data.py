@@ -28,7 +28,6 @@ class FederatedDataset:
     feature_dim: int
     train_client_indices: tuple[int, ...]
     heldout_client_indices: tuple[int, ...]
-    spec: "SyntheticSpec | None" = None
 
     def __post_init__(self):
         n = len(self.clients)
@@ -109,7 +108,7 @@ def generate_synthetic(spec: SyntheticSpec) -> FederatedDataset:
         clients.append((features, labels.astype(np.int64)))
 
     train, heldout = _split_clients(spec.num_clients, rng)
-    return FederatedDataset(clients, k, p, train, heldout, spec=spec)
+    return FederatedDataset(clients, k, p, train, heldout)
 
 
 def partition_by_client(features: Tensor, labels: np.ndarray, num_clients: int,

@@ -1,7 +1,6 @@
 from .backend import BACKEND_NAME
 from .solver import (
     ALPHA_TOL,
-    SLACK_TOL,
     BinarySvmModel,
     OvoSvm,
     SvmProblem,
@@ -15,7 +14,6 @@ from .solver import (
 
 __all__ = [
     "ALPHA_TOL",
-    "SLACK_TOL",
     "BACKEND_NAME",
     "BinarySvmModel",
     "OvoSvm",

@@ -10,6 +10,14 @@ the bias term induces. The bias is recovered from free support vectors,
 or by the midpoint rule over the bound-constraint bracket when no
 coefficient is strictly inside the box.
 
+A dual coefficient counts as zero when it is at most ``ALPHA_TOL`` times
+the largest coefficient of its fit, and as at the cap when it is within
+that threshold of ``lam``. The threshold is relative because the dual
+coefficients scale like 1/||x||^2: samples scaled by s with ``lam``
+scaled by 1/s^2 give the same support set, free set and bias at every s.
+The support set, the free set of the bias and its bound bracket all use
+the one threshold.
+
 Kernel calls run until the relative duality gap drops under ``tol`` or
 the call budget is exhausted, each call with a tighter violation
 tolerance than the last; a fit that stops early is returned flagged
@@ -27,8 +35,9 @@ import numpy as np
 from ..numerics import Tensor, as_tensor, check_finite, weighted_mean
 from . import backend
 
+# Relative to the largest dual coefficient of a fit; see the module
+# docstring.
 ALPHA_TOL = 1e-8
-SLACK_TOL = 1e-6
 DEFAULT_GAP_TOL = 1e-6
 # Smallest KKT violation a kernel call is asked to reach. Violations are
 # in margin units (the margin is 1), so this is about the precision of
@@ -75,9 +84,10 @@ class BinarySvmModel:
 
 
 def _recover_bias(alphas: Tensor, margins_wo_bias: Tensor, y: Tensor,
-                  lam: float) -> float:
-    """Bias from free support vectors, else midpoint of the KKT bracket."""
-    free = (alphas > ALPHA_TOL) & (alphas < lam - ALPHA_TOL)
+                  lam: float, alpha_tol: float) -> float:
+    """Bias from free support vectors, else midpoint of the KKT bracket;
+    ``alpha_tol`` is the fit's zero threshold for the coefficients."""
+    free = (alphas > alpha_tol) & (alphas < lam - alpha_tol)
     residual = y - margins_wo_bias
     if free.any():
         residual = residual[free]
@@ -85,7 +95,7 @@ def _recover_bias(alphas: Tensor, margins_wo_bias: Tensor, y: Tensor,
         return float(residual.sum() / residual.size)
     # A bound vector at zero with y > 0, or at the cap with y < 0, bounds
     # the bias from below; every other one bounds it from above.
-    below = (alphas <= ALPHA_TOL) == (y > 0)
+    below = (alphas <= alpha_tol) == (y > 0)
     lower = residual[below]
     upper = residual[~below]
     if lower.size and upper.size:
@@ -129,12 +139,14 @@ def fit_binary(problem: SvmProblem, max_iters: int | None = None,
     slacks = np.ones(m)
     primal = lam * m
     dual = 0.0
+    alpha_tol = 0.0
     while sweeps < max_iters:
         changed = backend.sweep(gram, y, lam, alphas, grad, eps)
         sweeps += 1
+        alpha_tol = ALPHA_TOL * float(alphas.max())
         normal = x.T @ (alphas * y)
         margins_wo_bias = x @ normal
-        bias = _recover_bias(alphas, margins_wo_bias, y, lam)
+        bias = _recover_bias(alphas, margins_wo_bias, y, lam, alpha_tol)
         slacks = np.maximum(0.0, 1.0 - y * (margins_wo_bias + bias))
         wsq = float(normal @ normal)
         primal = 0.5 * wsq + lam * float(slacks.sum())
@@ -145,7 +157,7 @@ def fit_binary(problem: SvmProblem, max_iters: int | None = None,
             break
         eps = max(0.01 * eps, EPS_FLOOR)
 
-    support = tuple((alphas > ALPHA_TOL).nonzero()[0].tolist())
+    support = tuple((alphas > alpha_tol).nonzero()[0].tolist())
     return BinarySvmModel(
         normal=normal,
         bias=bias,

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import os
 import signal
@@ -205,6 +206,30 @@ def test_failed_seed_does_not_stop_others(tmp_path, monkeypatch):
     result = run_experiment(cfg, tmp_path / "flaky")
     assert [s for s, _ in result.failed_seeds] == [0]
     assert [r.seed for r in result.seed_results] == [1]
+
+
+def test_growing_embeddings_keep_their_support_vectors(tmp_path):
+    # The shipped svm_margin config cut to one client per round, two
+    # classes and 2-dim embeddings, at client rate 1. The embeddings grow
+    # and the dual coefficients shrink like 1/|x|^2; an absolute
+    # support-vector threshold lost this seed in round 9 with "class 0
+    # has no support vectors".
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(Path(__file__).resolve().parent.parent / "configs"
+                / "synthetic_svm_margin.ini")
+    for section, key, value in (("dataset", "classes", "2"),
+                                ("model", "embedding_dim", "2"),
+                                ("client", "learning_rate", "1.0"),
+                                ("run", "clients_per_round", "1"),
+                                ("run", "rounds", "15"),
+                                ("run", "seeds", "0")):
+        parser.set(section, key, value)
+    path = tmp_path / "cfg.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    result = run_experiment(parse_config(path), tmp_path / "run")
+    assert not result.failed_seeds, result.failed_seeds
+    assert result.seed_results[0].rows[-1].round == 15
 
 
 @pytest.mark.parametrize("strategy,client_extra", [

@@ -455,13 +455,17 @@ def test_svm_margin_degenerate_equals_fedavg_logits():
         assert np.array_equal(m_svm.params, m_avg.params)
 
 
-def test_svm_stage_failure_names_its_round():
-    # With logit rows of norm ~1e6 and no client training, every dual
-    # coefficient falls below the support-vector threshold, so selective
-    # aggregation finds no support vector for class 0.
+def test_svm_stage_failure_names_its_round(monkeypatch):
+    # A failure after the SVM fit, in selective aggregation, carries the
+    # round and the cause.
+    import fedsvm.strategies as strategies
+
+    def no_support(svm):
+        raise ValueError("class 0 has no support vectors")
+
+    monkeypatch.setattr(strategies, "selective_aggregate", no_support)
     dataset = generate_synthetic(SyntheticSpec(num_clients=10, num_classes=2, seed=0))
     model = init_model(dataset.feature_dim, [8], 2, 2, np.random.default_rng(0))
-    model.logit_matrix *= 1e6
     server = make_server(SVM_MARGIN, schedule=schedule_over(4))
     with pytest.raises(RuntimeError, match="round 3: class 0 has no support vectors"):
         run_round(3, model, dataset, server, ClientConfig(learning_rate=0.0), 1, seed=0)

@@ -152,10 +152,11 @@ def test_workload_sized_problems_converge_with_kkt(m, d, repeated):
 def test_scaled_down_problem_has_the_scaled_solution():
     # Samples scaled by s with lam scaled by 1/s^2 have the dual solution
     # alpha / s^2, the normal w / s and the same bias; zero-curvature pairs
-    # must still be told apart from the rest at every scale.
+    # must still be told apart from the rest at every scale. Scaled up,
+    # every alpha falls far below any absolute zero threshold.
     x, y = clustered_problem(16, 4, 0, repeated=True)
     base = fit(x, y, 1.0)
-    for s in (1e-4, 1e-8):
+    for s in (1e-4, 1e-8, 1e4, 1e6):
         scaled = fit(s * x, y, 1.0 / s**2)
         assert scaled.converged, (s, scaled.duality_gap)
         assert scaled.support_indices == base.support_indices
