@@ -35,23 +35,22 @@ class Model:
 
     def __init__(self, encoder: Sequence[tuple[Tensor, Tensor]], logit_matrix: Tensor):
         arrays = [as_tensor(a) for layer in encoder for a in layer] + [as_tensor(logit_matrix)]
+        self.layout = tuple(a.shape for a in arrays)
         spans = []
         offset = 0
         for a in arrays:
             spans.append((offset, offset + a.size, a.shape))
             offset += a.size
-        self._bind(tuple(a.shape for a in arrays), tuple(spans),
-                   np.concatenate([a.ravel() for a in arrays]))
+        self._bind(tuple(spans), np.concatenate([a.ravel() for a in arrays]))
 
-    def _bind(self, layout: tuple[tuple[int, ...], ...],
-              spans: tuple[tuple[int, int, tuple[int, ...]], ...], params: Tensor) -> None:
+    def _bind(self, spans: tuple[tuple[int, int, tuple[int, ...]], ...],
+              params: Tensor) -> None:
         """Bind ``params`` with one view per ``(start, end, shape)`` span."""
         params = np.ascontiguousarray(params, dtype=np.float64)
         size = spans[-1][1]
         if params.shape != (size,):
             raise ValueError(f"flat vector has {params.size} entries, model needs {size}")
         views = [params[start:end].reshape(shape) for start, end, shape in spans]
-        self.layout = layout
         self._spans = spans
         self.params = params
         self.encoder = list(zip(views[0:-1:2], views[1:-1:2]))
@@ -61,7 +60,8 @@ class Model:
         """A model of this layout bound to ``flat`` without copying it;
         raises ValueError when the length does not match."""
         model = Model.__new__(Model)
-        model._bind(self.layout, self._spans, flat)
+        model.layout = self.layout
+        model._bind(self._spans, flat)
         return model
 
     @property
