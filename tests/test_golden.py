@@ -24,6 +24,11 @@ STRATEGIES = {
     "fedams": ("synthetic_fedavg.ini", {"strategy": {"name": "fedams"}}),
     "fedaws": ("synthetic_fedavg.ini", {"strategy": {"name": "fedaws"}}),
     "fedprox": ("synthetic_fedavg.ini", {"client": {"variant": "prox"}}),
+    # With one epoch every client takes a single step from the global
+    # model, where the proximal term is zero, so "fedprox" above is
+    # bitwise fedavg; a second epoch gives the term something to pull.
+    "fedprox_2epochs": ("synthetic_fedavg.ini",
+                        {"client": {"variant": "prox", "epochs": "2"}}),
     "moon": ("synthetic_fedavg.ini", {"client": {"variant": "moon"}}),
     "svm_margin": ("synthetic_svm_margin.ini", {}),
 }
@@ -40,6 +45,8 @@ GOLDEN = {
                "fb02d0f8fdca7e820b510532265c5258e04f5b37f5cb153481f303342c2c47df"),
     "fedprox": ("80167c807f3662e0a00b3ef7294194e68b1878d9907b952950d57a0d2010518d",
                 "17dd92bc8b604fb3b2fcd1a55edb31c4e32ba6cb0f515af03f702782bf061466"),
+    "fedprox_2epochs": ("012edcaf80a33fdf846749ad2e84d1a8d2952314e33d106ff3e3169a90aeeaec",
+                        "ddc4dab1e1f279742e3592b2609974ebdb6d1a75fc4c85da0c8c43ace76d2212"),
     "moon": ("f30f09c152507d15bb88c6e8820d47f10f4dd7143a284a33fe3f1ad3a7f685ee",
              "23e796075417e0a5e31279ef168b4f90028d3c95e7fbaa1b2b47dd5fa26aecb9"),
     "svm_margin": ("dd9c450112953b8f2aadbeb036e3aa1e512bbaf72a3ccad7a6785a7c17b0eae2",
