@@ -34,21 +34,13 @@ from .data import (
 from .metrics import accuracy, confusion, format_rounds, macro_f1, mcc, rounds_to_target
 from .model import init_model
 from .strategies import (
-    ADAM,
-    AMSGRAD,
-    DECREASING,
-    FEDAVG,
-    FEDAWS,
-    FEDOPT,
-    INCREASING,
     MOON,
     PROX,
     SGD,
     SVM_MARGIN,
     ClientConfig,
-    PenaltySchedule,
     ServerState,
-    ServerStrategy,
+    StrategyConfig,
     run_round,
 )
 from .svm import format_diagnostics
@@ -62,18 +54,6 @@ SUMMARY_CSV_COLUMNS = ["seed", "rounds_to_target", "final_accuracy", "final_f1",
 COMPARE_CSV_COLUMNS = ["strategy", "rounds_mean", "rounds_std", "accuracy_mean",
                        "accuracy_std", "f1_mean", "f1_std", "mcc_mean", "mcc_std"]
 SWEEP_CSV_COLUMNS = ["d", "C", "round", "sv_count", "f1"]
-
-# strategy.name -> (server strategy kind, server optimizer, default server
-# rate); a None optimizer means strategy.server_optimizer.
-_STRATEGIES = {
-    "fedavg": (FEDAVG, None, 1e-2),
-    "fedadam": (FEDOPT, ADAM, 1e-3),
-    "fedams": (FEDOPT, AMSGRAD, 1e-3),
-    "fedopt": (FEDOPT, None, 1e-3),
-    "fedaws": (FEDAWS, None, 1e-2),
-    "svm_margin": (SVM_MARGIN, None, 1e-2),
-}
-
 
 class ConfigError(Exception):
     """Invalid configuration; maps to CLI exit code 1."""
@@ -100,22 +80,6 @@ class ModelConfig:
 
 
 @dataclass
-class StrategyConfig:
-    """[strategy]; no ``server_learning_rate`` means the rate in
-    ``_STRATEGIES``."""
-
-    name: str = "fedavg"
-    server_optimizer: str = ADAM
-    server_learning_rate: float | None = None
-    svm_penalty_initial: float = 1.0
-    svm_penalty_floor: float = 0.01
-    svm_penalty_schedule: str = DECREASING
-    reg_steps: int = 1
-    reset_server_state: bool = False
-    svm_diagnostics: bool = False
-
-
-@dataclass
 class RunConfig:
     """One field per section dataclass; the scalar fields are [run]."""
 
@@ -138,6 +102,17 @@ class RunConfig:
             return self.dataset.synthetic.num_clients
         return self.dataset.partition_clients
 
+    @property
+    def sv_checkpoint(self) -> int:
+        """The round whose support-vector counts a sweep reports."""
+        if self.sv_checkpoint_round is None:
+            return min(self.rounds, 200)
+        return self.sv_checkpoint_round
+
+    def evaluates(self, t: int) -> bool:
+        """Whether the 0-based round ``t`` is evaluated and written."""
+        return t % self.eval_stride == 0 or t == self.rounds - 1
+
     def algorithm_name(self) -> str:
         if self.label:
             return self.label
@@ -148,17 +123,6 @@ class RunConfig:
         if self.strategy.name == "fedopt" and self.strategy.server_optimizer == SGD:
             return "fedopt_sgd"
         return self.strategy.name
-
-    def build_strategy(self) -> ServerStrategy:
-        st = self.strategy
-        kind, optimizer, rate = _STRATEGIES[st.name]
-        if st.server_learning_rate is not None:
-            rate = st.server_learning_rate
-        schedule = PenaltySchedule(st.svm_penalty_initial, st.svm_penalty_floor, self.rounds,
-                                   st.svm_penalty_schedule) if kind == SVM_MARGIN else None
-        return ServerStrategy(kind=kind, server_optimizer=optimizer or st.server_optimizer,
-                              server_learning_rate=rate, schedule=schedule,
-                              reg_steps=st.reg_steps, reset_server_state=st.reset_server_state)
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +207,16 @@ def parse_config(path) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Every value check on a config, parsed or overridden."""
-    ds, st = cfg.dataset, cfg.strategy
+    """The value checks of [dataset], [model] and [run] and those across
+    sections, on a config parsed or overridden; [client] and [strategy]
+    check their own values when they are built."""
+    ds = cfg.dataset
     if ds.kind not in ("synthetic", "idx"):
         raise ConfigError(f"dataset.kind: expected synthetic or idx, got {ds.kind!r}")
     if ds.kind == "idx" and not (ds.images and ds.labels):
         raise ConfigError("dataset.images and dataset.labels are required for idx datasets")
     if cfg.model.embedding_dim < 1 or cfg.model.hidden_width < 1:
         raise ConfigError("model.embedding_dim and model.hidden_width must be positive")
-    if st.name not in _STRATEGIES:
-        raise ConfigError(f"strategy.name: expected one of {tuple(_STRATEGIES)}, got {st.name!r}")
-    if st.server_optimizer not in (SGD, ADAM, AMSGRAD):
-        raise ConfigError(f"strategy.server_optimizer: unknown {st.server_optimizer!r}")
-    if st.svm_penalty_schedule not in (DECREASING, INCREASING):
-        raise ConfigError("strategy.svm_penalty_schedule: expected decreasing or increasing")
     if cfg.rounds < 1:
         raise ConfigError("run.rounds must be >= 1")
     if not cfg.seeds:
@@ -273,12 +233,11 @@ def validate_config(cfg: RunConfig) -> None:
             f"{train_clients} train clients implied by dataset.{key} = {cfg.num_clients}")
     if cfg.clients_per_round < 1:
         raise ConfigError("run.clients_per_round must be >= 1")
-    if cfg.sv_checkpoint_round is not None and cfg.sv_checkpoint_round < 1:
-        raise ConfigError("run.sv_checkpoint_round must be >= 1")
-    try:
-        cfg.build_strategy()
-    except ValueError as err:
-        raise ConfigError(f"strategy: {err}") from err
+    checkpoint = cfg.sv_checkpoint
+    if not 1 <= checkpoint <= cfg.rounds or not cfg.evaluates(checkpoint - 1):
+        raise ConfigError(
+            f"run.sv_checkpoint_round = {checkpoint} is not an evaluated round of "
+            f"run.rounds = {cfg.rounds} at run.eval_stride = {cfg.eval_stride}")
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +301,7 @@ def _run_seed(cfg: RunConfig, seed: int, writer, fh, diag_path: Path | None) -> 
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
     model = init_model(dataset.feature_dim, [cfg.model.hidden_width],
                        cfg.model.embedding_dim, dataset.num_classes, init_rng)
-    server = ServerState.create(cfg.build_strategy())
+    server = ServerState.create(cfg.strategy, cfg.rounds)
     name = cfg.algorithm_name()
 
     rows: list[RoundRow] = []
@@ -350,7 +309,7 @@ def _run_seed(cfg: RunConfig, seed: int, writer, fh, diag_path: Path | None) -> 
         start = time.perf_counter()
         model, rec = run_round(t, model, dataset, server, cfg.client,
                                cfg.clients_per_round, seed)
-        if t % cfg.eval_stride == 0 or t == cfg.rounds - 1:
+        if cfg.evaluates(t):
             cm = confusion(model, dataset)
             row = RoundRow(seed, t + 1, name, rec.train_loss, accuracy(cm),
                            macro_f1(cm), mcc(cm), rec.lam, rec.sv_counts,
@@ -518,11 +477,11 @@ def sv_sweep(base: RunConfig, embedding_dims: list[int], clients_per_round: list
     """Grid over embedding dimension and participation count, recording
     the class-1 support-vector count at the checkpoint round (seed mean)
     and the final macro-F1."""
-    if base.strategy.name != "svm_margin":
+    if base.strategy.kind != SVM_MARGIN:
         raise ConfigError("sweep requires strategy.name = svm_margin")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    checkpoint = base.sv_checkpoint_round or min(base.rounds, 200)
+    checkpoint = base.sv_checkpoint
     rows = []
     for d in embedding_dims:
         for c in clients_per_round:
@@ -533,14 +492,9 @@ def sv_sweep(base: RunConfig, embedding_dims: list[int], clients_per_round: list
             if result.failed_seeds:
                 raise RuntimeError(f"sweep (d={d}, C={c}) failed seeds: "
                                    f"{result.failed_seeds}")
-            counts = []
-            for res in result.seed_results:
-                at = next((row for row in res.rows if row.round == checkpoint), None)
-                if at is None or at.sv_counts is None:
-                    raise RuntimeError(
-                        f"sweep (d={d}, C={c}) seed {res.seed}: no SV counts at "
-                        f"round {checkpoint}")
-                counts.append(at.sv_counts[1])
+            # validate_config makes the checkpoint an evaluated round.
+            counts = [next(row.sv_counts[1] for row in res.rows if row.round == checkpoint)
+                      for res in result.seed_results]
             rows.append({"d": d, "C": c, "round": checkpoint,
                          "sv_count": float(np.mean(counts)),
                          "f1": float(np.mean([r.final_f1 for r in result.seed_results]))})

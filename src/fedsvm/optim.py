@@ -21,6 +21,12 @@ AMSGRAD = "amsgrad"
 
 _KINDS = (SGD, ADAM, AMSGRAD)
 
+# Adam's moment decay rates and denominator guard, the defaults of
+# Kingma & Ba; AMSGrad uses the same.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass
 class OptimizerState:
@@ -28,9 +34,6 @@ class OptimizerState:
 
     kind: str
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moment: Tensor = field(default_factory=lambda: np.zeros(0))
     second_moment: Tensor = field(default_factory=lambda: np.zeros(0))
@@ -41,24 +44,18 @@ class OptimizerState:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
 
 
 def sgd_state(learning_rate: float) -> OptimizerState:
     return OptimizerState(kind=SGD, learning_rate=learning_rate)
 
 
-def adam_state(learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
-               epsilon: float = 1e-8) -> OptimizerState:
-    return OptimizerState(ADAM, learning_rate, beta1, beta2, epsilon)
+def adam_state(learning_rate: float) -> OptimizerState:
+    return OptimizerState(ADAM, learning_rate)
 
 
-def amsgrad_state(learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
-                  epsilon: float = 1e-8) -> OptimizerState:
-    return OptimizerState(AMSGRAD, learning_rate, beta1, beta2, epsilon)
+def amsgrad_state(learning_rate: float) -> OptimizerState:
+    return OptimizerState(AMSGRAD, learning_rate)
 
 
 def sgd_step(params: Tensor, grad: Tensor, state: OptimizerState) -> Tensor:
@@ -88,14 +85,14 @@ def adam_step(params: Tensor, grad: Tensor, state: OptimizerState) -> Tensor:
 
     state.step_count += 1
     t = state.step_count
-    state.first_moment = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
-    state.second_moment = state.beta2 * state.second_moment + (1.0 - state.beta2) * grad * grad
-    m_hat = state.first_moment / (1.0 - state.beta1 ** t)
-    v_hat = state.second_moment / (1.0 - state.beta2 ** t)
+    state.first_moment = BETA1 * state.first_moment + (1.0 - BETA1) * grad
+    state.second_moment = BETA2 * state.second_moment + (1.0 - BETA2) * grad * grad
+    m_hat = state.first_moment / (1.0 - BETA1 ** t)
+    v_hat = state.second_moment / (1.0 - BETA2 ** t)
     if state.kind == AMSGRAD:
         state.max_second_moment = np.maximum(state.max_second_moment, v_hat)
         v_hat = state.max_second_moment
-    update = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    update = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
     return check_finite(update, "adam update")
 
 

@@ -5,9 +5,11 @@ and SVM-guided selective aggregation with max-margin spread-out
 regularization on the class embeddings).
 
 A round samples clients, trains each on its own data starting from the
-global model, then applies the configured server strategy. Strategy
-state (server optimizer moments, per-client previous models for the
-contrastive variant) lives in a ``ServerState`` owned by the caller.
+global model, then applies the configured server strategy. The engine
+runs from the [client] and [strategy] config sections themselves,
+``ClientConfig`` and ``StrategyConfig``. Strategy state (server
+optimizer moments, per-client previous models for the contrastive
+variant) lives in a ``ServerState`` owned by the caller.
 """
 
 from __future__ import annotations
@@ -78,61 +80,84 @@ class ClientConfig:
             raise ValueError("moon_coeff must be >= 0 and moon_temperature > 0")
 
 
-@dataclass
-class PenaltySchedule:
-    """Per-round SVM slack-penalty coefficient: linear decay from
-    ``initial`` to ``floor`` over the run (or its time reversal)."""
-
-    initial: float
-    floor: float
-    total_rounds: int
-    mode: str
-
-    def __post_init__(self):
-        if self.initial <= 0 or self.floor <= 0:
-            raise ValueError("initial and floor must be positive")
-        if self.total_rounds < 1:
-            raise ValueError("total_rounds must be >= 1")
-        if self.mode not in (DECREASING, INCREASING):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
-
-
-def penalty_value(schedule: PenaltySchedule, t: int) -> float:
-    """Coefficient for round ``t``; decreasing mode is
-    ``max(floor, initial * (1 - t/T))``."""
-    if t < 0 or t >= schedule.total_rounds:
-        raise ValueError(f"round {t} outside [0, {schedule.total_rounds})")
-    if schedule.mode == INCREASING:
-        t = schedule.total_rounds - 1 - t
-    return max(schedule.floor, schedule.initial * (1.0 - t / schedule.total_rounds))
+# strategy name -> (server strategy kind, server optimizer, default server
+# rate); a None optimizer means StrategyConfig.server_optimizer.
+_STRATEGIES = {
+    "fedavg": (FEDAVG, None, 1e-2),
+    "fedadam": (FEDOPT, ADAM, 1e-3),
+    "fedams": (FEDOPT, AMSGRAD, 1e-3),
+    "fedopt": (FEDOPT, None, 1e-3),
+    "fedaws": (FEDAWS, None, 1e-2),
+    "svm_margin": (SVM_MARGIN, None, 1e-2),
+}
 
 
 @dataclass
-class ServerStrategy:
-    kind: str
-    server_optimizer: str
-    server_learning_rate: float
-    schedule: PenaltySchedule | None
-    reg_steps: int
-    reset_server_state: bool
+class StrategyConfig:
+    """[strategy]: the server side of a run. ``name`` resolves through
+    ``_STRATEGIES`` to the ``kind``, ``optimizer`` and ``learning_rate``
+    the round engine reads; no ``server_learning_rate`` means the name's
+    default rate. The SVM slack penalty decays linearly from
+    ``svm_penalty_initial`` to ``svm_penalty_floor`` over the run, or
+    rises along the time reversal of that schedule."""
+
+    name: str = "fedavg"
+    server_optimizer: str = ADAM
+    server_learning_rate: float | None = None
+    svm_penalty_initial: float = 1.0
+    svm_penalty_floor: float = 0.01
+    svm_penalty_schedule: str = DECREASING
+    reg_steps: int = 1
+    reset_server_state: bool = False
+    svm_diagnostics: bool = False
 
     def __post_init__(self):
-        if self.kind not in (FEDAVG, FEDOPT, FEDAWS, SVM_MARGIN):
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.kind != FEDAVG and self.server_learning_rate <= 0:
-            raise ValueError("server_learning_rate must be positive")
+        if self.name not in _STRATEGIES:
+            raise ValueError(f"name must be one of {tuple(_STRATEGIES)}, got {self.name!r}")
         if self.server_optimizer not in (SGD, ADAM, AMSGRAD):
-            raise ValueError(f"unknown server optimizer {self.server_optimizer!r}")
+            raise ValueError(f"server_optimizer must be one of {(SGD, ADAM, AMSGRAD)}, "
+                             f"got {self.server_optimizer!r}")
+        if self.kind != FEDAVG and self.learning_rate <= 0:
+            raise ValueError("server_learning_rate must be positive")
+        if self.svm_penalty_initial <= 0 or self.svm_penalty_floor <= 0:
+            raise ValueError("svm_penalty_initial and svm_penalty_floor must be positive")
+        if self.svm_penalty_schedule not in (DECREASING, INCREASING):
+            raise ValueError("svm_penalty_schedule must be decreasing or increasing")
         if self.reg_steps < 0:
             raise ValueError("reg_steps must be >= 0")
 
+    @property
+    def kind(self) -> str:
+        return _STRATEGIES[self.name][0]
 
-def _make_server_optimizer(strategy: ServerStrategy) -> OptimizerState:
-    lr = strategy.server_learning_rate
-    if strategy.server_optimizer == SGD:
+    @property
+    def optimizer(self) -> str:
+        return _STRATEGIES[self.name][1] or self.server_optimizer
+
+    @property
+    def learning_rate(self) -> float:
+        if self.server_learning_rate is None:
+            return _STRATEGIES[self.name][2]
+        return self.server_learning_rate
+
+
+def penalty_value(strategy: StrategyConfig, t: int, total_rounds: int) -> float:
+    """Slack-penalty coefficient for round ``t`` of ``total_rounds``;
+    decreasing mode is ``max(floor, initial * (1 - t/T))``."""
+    if t < 0 or t >= total_rounds:
+        raise ValueError(f"round {t} outside [0, {total_rounds})")
+    if strategy.svm_penalty_schedule == INCREASING:
+        t = total_rounds - 1 - t
+    return max(strategy.svm_penalty_floor,
+               strategy.svm_penalty_initial * (1.0 - t / total_rounds))
+
+
+def _make_server_optimizer(strategy: StrategyConfig) -> OptimizerState:
+    lr = strategy.learning_rate
+    if strategy.optimizer == SGD:
         log.warning("server optimizer is SGD: degenerate averaging-like update")
         return sgd_state(lr)
-    if strategy.server_optimizer == AMSGRAD:
+    if strategy.optimizer == AMSGRAD:
         return amsgrad_state(lr)
     return adam_state(lr)
 
@@ -141,14 +166,15 @@ def _make_server_optimizer(strategy: ServerStrategy) -> OptimizerState:
 class ServerState:
     """Everything the round loop owns across rounds for one run."""
 
-    strategy: ServerStrategy
+    strategy: StrategyConfig
+    total_rounds: int                         # the run length the penalty decays over
     full_opt: OptimizerState | None = None    # pseudo-gradient optimizer, whole model
     logit_opt: OptimizerState | None = None   # optimizer over the logit matrix only
     prev_models: dict[int, Model] = field(default_factory=dict)
 
     @classmethod
-    def create(cls, strategy: ServerStrategy) -> "ServerState":
-        state = cls(strategy=strategy)
+    def create(cls, strategy: StrategyConfig, total_rounds: int) -> "ServerState":
+        state = cls(strategy, total_rounds)
         if strategy.kind == FEDOPT:
             state.full_opt = _make_server_optimizer(strategy)
         elif strategy.kind in (FEDAWS, SVM_MARGIN):
@@ -157,7 +183,7 @@ class ServerState:
 
     def maybe_reset(self):
         if self.strategy.reset_server_state:
-            fresh = ServerState.create(self.strategy)
+            fresh = ServerState.create(self.strategy, self.total_rounds)
             self.full_opt = fresh.full_opt
             self.logit_opt = fresh.logit_opt
 
@@ -460,7 +486,7 @@ def run_round(t: int, global_model: Model, dataset, server: ServerState,
         new_model.logit_matrix[...] = fedaws_regularize(new_model.logit_matrix,
                                                         server.logit_opt)
     elif strategy.kind == SVM_MARGIN:
-        lam = penalty_value(strategy.schedule, t)
+        lam = penalty_value(strategy, t, server.total_rounds)
         class_embeddings = {
             k: [(models[i].logit_matrix[k], sizes[i]) for i in range(len(models))]
             for k in range(global_model.num_classes)

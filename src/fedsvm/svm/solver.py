@@ -126,7 +126,8 @@ def fit_binary(problem: SvmProblem, max_iters: int | None = None,
     if max_iters is None:
         max_iters = 10 * m
 
-    gram = x @ x.T
+    # Finite samples above about 1e154 overflow their inner products.
+    gram = check_finite(x @ x.T, "Gram matrix (sample inner products overflow)")
     alphas = np.zeros(m)
     grad = -np.ones(m)
     eps = max(tol, EPS_FLOOR)

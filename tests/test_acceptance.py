@@ -25,17 +25,11 @@ from fedsvm.model import (
 )
 from fedsvm.numerics import finite_difference_gradient, relative_error
 from fedsvm.strategies import (
-    ADAM,
-    DECREASING,
-    FEDAVG,
-    FEDOPT,
     PROX,
     SGD,
-    SVM_MARGIN,
     ClientConfig,
-    PenaltySchedule,
     ServerState,
-    ServerStrategy,
+    StrategyConfig,
     fedaws_penalty,
     moon_loss_and_gradient,
     run_round,
@@ -268,9 +262,7 @@ def _identity_dataset(equal_sizes=False):
 
 
 def _fedavg_server():
-    return ServerState.create(ServerStrategy(
-        kind=FEDAVG, server_optimizer=ADAM, server_learning_rate=1e-2, schedule=None,
-        reg_steps=1, reset_server_state=False))
+    return ServerState.create(StrategyConfig(name="fedavg"), total_rounds=20)
 
 
 def test_criterion_3_reduction_identities():
@@ -282,9 +274,8 @@ def test_criterion_3_reduction_identities():
     # (a) A unit-rate SGD server on the pseudo-gradient is weighted averaging.
     m_avg, m_opt = base_model.copy(), base_model.copy()
     s_avg = _fedavg_server()
-    s_opt = ServerState.create(ServerStrategy(
-        kind=FEDOPT, server_optimizer=SGD, server_learning_rate=1.0, schedule=None,
-        reg_steps=1, reset_server_state=False))
+    s_opt = ServerState.create(StrategyConfig(
+        name="fedopt", server_optimizer=SGD, server_learning_rate=1.0), total_rounds=20)
     identity_a = True
     for t in range(20):
         m_avg, _ = run_round(t, m_avg, dataset, s_avg, cfg, 4, seed=42)
@@ -309,10 +300,9 @@ def test_criterion_3_reduction_identities():
     m_deg = init_model(eq_dataset.feature_dim, [6], 4, eq_dataset.num_classes,
                        np.random.default_rng(1))
     m_ref = m_deg.copy()
-    schedule = PenaltySchedule(initial=1e-6, floor=1e-6, total_rounds=20, mode=DECREASING)
-    s_svm = ServerState.create(ServerStrategy(
-        kind=SVM_MARGIN, server_optimizer=ADAM, server_learning_rate=1e-2,
-        schedule=schedule, reg_steps=0, reset_server_state=False))
+    s_svm = ServerState.create(StrategyConfig(
+        name="svm_margin", svm_penalty_initial=1e-6, svm_penalty_floor=1e-6,
+        reg_steps=0), total_rounds=20)
     s_ref = _fedavg_server()
     identity_c = True
     for t in range(20):

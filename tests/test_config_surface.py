@@ -15,8 +15,6 @@ from fedsvm.strategies import (
     FEDOPT,
     SVM_MARGIN,
     ClientConfig,
-    PenaltySchedule,
-    ServerStrategy,
 )
 
 # section -> {key: a valid value}
@@ -105,9 +103,9 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.client == ClientConfig(epochs=1, batch_size=64, learning_rate=0.1,
                                       variant="vanilla", prox_mu=0.01, moon_coeff=1.0,
                                       moon_temperature=0.5)
-    assert cfg.build_strategy() == ServerStrategy(
-        kind=FEDAVG, server_optimizer=ADAM, server_learning_rate=1e-2,
-        schedule=None, reg_steps=1, reset_server_state=False)
+    st = cfg.strategy
+    assert (st.kind, st.optimizer, st.learning_rate, st.reg_steps,
+            st.reset_server_state) == (FEDAVG, ADAM, 1e-2, 1, False)
     assert cfg.rounds == 100
     assert cfg.clients_per_round == 8
     assert cfg.target_accuracy == 0.8
@@ -127,19 +125,19 @@ def test_minimal_config_defaults(tmp_path):
 ])
 def test_server_defaults_per_strategy(tmp_path, name, kind, optimizer, rate):
     cfg = parse_config(write(tmp_path, f"[strategy]\nname = {name}\n"))
-    assert cfg.build_strategy() == ServerStrategy(
-        kind=kind, server_optimizer=optimizer, server_learning_rate=rate,
-        schedule=None, reg_steps=1, reset_server_state=False)
+    st = cfg.strategy
+    assert (st.kind, st.optimizer, st.learning_rate, st.reg_steps,
+            st.reset_server_state) == (kind, optimizer, rate, 1, False)
     assert cfg.algorithm_name() == name
 
 
 def test_svm_margin_defaults(tmp_path):
     cfg = parse_config(write(tmp_path, "[strategy]\nname = svm_margin\n"))
-    assert cfg.build_strategy() == ServerStrategy(
-        kind=SVM_MARGIN, server_optimizer=ADAM, server_learning_rate=1e-2,
-        schedule=PenaltySchedule(initial=1.0, floor=0.01, total_rounds=100,
-                                 mode=DECREASING),
-        reg_steps=1, reset_server_state=False)
+    st = cfg.strategy
+    assert (st.kind, st.optimizer, st.learning_rate, st.reg_steps,
+            st.reset_server_state) == (SVM_MARGIN, ADAM, 1e-2, 1, False)
+    assert (st.svm_penalty_initial, st.svm_penalty_floor, cfg.rounds,
+            st.svm_penalty_schedule) == (1.0, 0.01, 100, DECREASING)
 
 
 def test_svm_diagnostics_default_off(tmp_path):

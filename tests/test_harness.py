@@ -86,12 +86,12 @@ def test_defaults_follow_reference_protocol(tmp_path):
     assert cfg.clients_per_round == 8
     assert cfg.client.batch_size == 64
     assert cfg.client.learning_rate == 0.1
-    assert cfg.build_strategy().server_learning_rate == 1e-2
+    assert cfg.strategy.learning_rate == 1e-2
     assert cfg.strategy.svm_penalty_initial == 1.0
 
     path2 = tmp_path / "cfg2.ini"
     path2.write_text("[dataset]\nclients = 40\n\n[strategy]\nname = fedadam\n")
-    assert parse_config(path2).build_strategy().server_learning_rate == 1e-3
+    assert parse_config(path2).strategy.learning_rate == 1e-3
 
 
 def test_unknown_key_is_hard_error(tmp_path):
@@ -208,17 +208,15 @@ def test_failed_seed_does_not_stop_others(tmp_path, monkeypatch):
     assert [r.seed for r in result.seed_results] == [1]
 
 
-def test_growing_embeddings_keep_their_support_vectors(tmp_path):
-    # The shipped svm_margin config cut to one client per round, two
-    # classes and 2-dim embeddings, at client rate 1. The embeddings grow
-    # and the dual coefficients shrink like 1/|x|^2; an absolute
-    # support-vector threshold lost this seed in round 9 with "class 0
-    # has no support vectors".
+def growing_embeddings_run(tmp_path, embedding_dim):
+    # The shipped svm_margin config cut to one client per round and two
+    # classes, at client rate 1: client training grows the embeddings
+    # every round.
     parser = configparser.ConfigParser(interpolation=None)
     parser.read(Path(__file__).resolve().parent.parent / "configs"
                 / "synthetic_svm_margin.ini")
     for section, key, value in (("dataset", "classes", "2"),
-                                ("model", "embedding_dim", "2"),
+                                ("model", "embedding_dim", str(embedding_dim)),
                                 ("client", "learning_rate", "1.0"),
                                 ("run", "clients_per_round", "1"),
                                 ("run", "rounds", "15"),
@@ -227,9 +225,25 @@ def test_growing_embeddings_keep_their_support_vectors(tmp_path):
     path = tmp_path / "cfg.ini"
     with open(path, "w") as fh:
         parser.write(fh)
-    result = run_experiment(parse_config(path), tmp_path / "run")
+    return run_experiment(parse_config(path), tmp_path / "run")
+
+
+def test_growing_embeddings_keep_their_support_vectors(tmp_path):
+    # The dual coefficients shrink like 1/|x|^2; an absolute
+    # support-vector threshold lost this seed in round 9 with "class 0
+    # has no support vectors".
+    result = growing_embeddings_run(tmp_path, embedding_dim=2)
     assert not result.failed_seeds, result.failed_seeds
     assert result.seed_results[0].rows[-1].round == 15
+
+
+def test_overflowing_embeddings_name_the_gram(tmp_path):
+    # At d = 1 the embeddings pass 1e154 and their Gram overflows; the
+    # seed used to die as "class 0 has no support vectors".
+    result = growing_embeddings_run(tmp_path, embedding_dim=1)
+    [(seed, message)] = result.failed_seeds
+    assert seed == 0
+    assert "SVM fit failed: pair (0, 1): non-finite values in Gram matrix" in message
 
 
 @pytest.mark.parametrize("strategy,client_extra", [
@@ -374,6 +388,18 @@ def test_sweep_grid_and_schema(tmp_path):
     assert header == SWEEP_CSV_COLUMNS
 
 
+@pytest.mark.parametrize("rounds,extra_run", [
+    (2, "sv_checkpoint_round = 5\n"),                   # past the last round
+    (3, "sv_checkpoint_round = 2\neval_stride = 2\n"),  # rounds 1 and 3 are evaluated
+    (250, "eval_stride = 2\n"),                         # the default, round 200
+])
+def test_unevaluated_sv_checkpoint_is_rejected(tmp_path, rounds, extra_run):
+    path = write_config(tmp_path, strategy="svm_margin", rounds=rounds,
+                        extra_run=extra_run)
+    with pytest.raises(ConfigError, match="run.sv_checkpoint_round"):
+        parse_config(path)
+
+
 def test_sweep_requires_svm_margin(tmp_path):
     cfg = parse_config(write_config(tmp_path, strategy="fedavg"))
     with pytest.raises(ConfigError, match="svm_margin"):
@@ -412,6 +438,32 @@ def test_cli_eval_stride_override_is_validated(tmp_path, capsys):
                      "--output-dir", str(tmp_path / "stride0")]) == 1
     assert "eval_stride" in capsys.readouterr().err
     assert not (tmp_path / "stride0").exists()
+
+
+def test_cli_sweep_rejects_a_checkpoint_past_the_run_before_running(tmp_path, capsys):
+    path = write_config(tmp_path, strategy="svm_margin", rounds=2,
+                        extra_run="sv_checkpoint_round = 5\n")
+    assert cli_main(["sweep", str(path), "--dims", "2", "--clients", "2",
+                     "--output-dir", str(tmp_path / "sweep")]) == 1
+    assert "run.sv_checkpoint_round" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("fedavg", "name", "fedsgd"),
+    ("fedavg", "server_optimizer", "rmsprop"),
+    ("fedadam", "server_learning_rate", "0"),
+    ("fedavg", "svm_penalty_initial", "0"),  # checked for every strategy
+    ("fedavg", "svm_penalty_floor", "-1"),
+    ("svm_margin", "svm_penalty_schedule", "cyclic"),
+    ("fedavg", "reg_steps", "-1"),
+])
+def test_cli_invalid_strategy_value_names_its_key(tmp_path, capsys, name, key, value):
+    strategy = value if key == "name" else f"{name}\n{key} = {value}"
+    path = write_config(tmp_path, strategy=strategy, rounds=1)
+    assert cli_main(["run", str(path), "--output-dir", str(tmp_path / "bad")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: strategy: " in err and key in err
 
 
 def test_killed_run_leaves_parseable_csv_prefix(tmp_path):

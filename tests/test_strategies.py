@@ -6,19 +6,14 @@ from fedsvm.model import Batch, Model, init_model, loss_and_gradient
 from fedsvm.numerics import finite_difference_gradient, relative_error
 from fedsvm.optim import adam_state, sgd_state, sgd_step
 from fedsvm.strategies import (
-    ADAM,
     DECREASING,
-    FEDAVG,
-    FEDAWS,
-    FEDOPT,
+    INCREASING,
     MOON,
     PROX,
     SGD,
-    SVM_MARGIN,
     ClientConfig,
-    PenaltySchedule,
     ServerState,
-    ServerStrategy,
+    StrategyConfig,
     client_update,
     fedavg_aggregate,
     fedaws_penalty,
@@ -331,15 +326,17 @@ def test_spreadout_regularize_strictly_decreases_loss():
 
 
 def test_penalty_schedule_values():
-    sched = PenaltySchedule(initial=1.0, floor=0.01, total_rounds=100, mode=DECREASING)
-    assert penalty_value(sched, 0) == 1.0
-    assert penalty_value(sched, 99) == pytest.approx(0.01)
-    values = [penalty_value(sched, t) for t in range(100)]
+    sched = StrategyConfig(svm_penalty_initial=1.0, svm_penalty_floor=0.01,
+                           svm_penalty_schedule=DECREASING)
+    assert penalty_value(sched, 0, 100) == 1.0
+    assert penalty_value(sched, 99, 100) == pytest.approx(0.01)
+    values = [penalty_value(sched, t, 100) for t in range(100)]
     assert all(b <= a for a, b in zip(values, values[1:]))
     with pytest.raises(ValueError):
-        penalty_value(sched, 100)
-    inc = PenaltySchedule(initial=1.0, floor=0.01, total_rounds=100, mode="increasing")
-    inc_values = [penalty_value(inc, t) for t in range(100)]
+        penalty_value(sched, 100, 100)
+    inc = StrategyConfig(svm_penalty_initial=1.0, svm_penalty_floor=0.01,
+                         svm_penalty_schedule=INCREASING)
+    inc_values = [penalty_value(inc, t, 100) for t in range(100)]
     assert inc_values == values[::-1]
 
 
@@ -354,17 +351,8 @@ def small_dataset(seed=0, clients=6, classes=3, dim=4):
         dirichlet_alpha=0.5, class_separation=3.0, noise_sigma=0.5, seed=seed))
 
 
-def make_server(kind=FEDAVG, server_optimizer=ADAM, server_learning_rate=1e-2,
-                schedule=None, reg_steps=1):
-    return ServerState.create(ServerStrategy(
-        kind=kind, server_optimizer=server_optimizer,
-        server_learning_rate=server_learning_rate, schedule=schedule,
-        reg_steps=reg_steps, reset_server_state=False))
-
-
-def schedule_over(total_rounds):
-    return PenaltySchedule(initial=1.0, floor=0.01, total_rounds=total_rounds,
-                           mode=DECREASING)
+def make_server(name="fedavg", total_rounds=1, **strategy):
+    return ServerState.create(StrategyConfig(name=name, **strategy), total_rounds)
 
 
 def test_run_round_single_client_fedavg_equals_client_model():
@@ -389,8 +377,7 @@ def test_run_round_deterministic_given_seed():
     cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.05)
     outs = []
     for _ in range(2):
-        server = make_server(SVM_MARGIN, server_learning_rate=1e-2,
-                             schedule=schedule_over(3), reg_steps=1)
+        server = make_server("svm_margin", total_rounds=3)
         m = model.copy()
         recs = []
         for t in range(3):
@@ -408,7 +395,7 @@ def test_fedopt_sgd_unit_rate_is_bitwise_fedavg():
     cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.05)
     m_avg, m_opt = model.copy(), model.copy()
     server_avg = make_server()
-    server_opt = make_server(FEDOPT, server_optimizer=SGD, server_learning_rate=1.0)
+    server_opt = make_server("fedopt", server_optimizer=SGD, server_learning_rate=1.0)
     for t in range(5):
         m_avg, _ = run_round(t, m_avg, dataset, server_avg, cfg, 3, seed=11)
         m_opt, _ = run_round(t, m_opt, dataset, server_opt, cfg, 3, seed=11)
@@ -420,8 +407,7 @@ def test_svm_margin_encoder_matches_fedavg_encoder():
     model = init_model(dataset.feature_dim, [5], 3, dataset.num_classes,
                        np.random.default_rng(3))
     cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.05)
-    server = make_server(SVM_MARGIN, server_learning_rate=1e-2,
-                         schedule=schedule_over(1), reg_steps=1)
+    server = make_server("svm_margin")
     m_svm, rec = run_round(0, model.copy(), dataset, server, cfg, 3, seed=13)
     m_avg, _ = run_round(0, model.copy(), dataset, make_server(), cfg, 3, seed=13)
     for (w1, b1), (w2, b2) in zip(m_svm.encoder, m_avg.encoder):
@@ -441,10 +427,8 @@ def test_svm_margin_degenerate_equals_fedavg_logits():
     model = init_model(dataset.feature_dim, [5], 3, dataset.num_classes,
                        np.random.default_rng(4))
     cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.05)
-    schedule = PenaltySchedule(initial=1e-6, floor=1e-6, total_rounds=4,
-                               mode=DECREASING)
-    server = make_server(SVM_MARGIN, server_learning_rate=1e-2,
-                         schedule=schedule, reg_steps=0)
+    server = make_server("svm_margin", total_rounds=4, svm_penalty_initial=1e-6,
+                         svm_penalty_floor=1e-6, reg_steps=0)
     server_avg = make_server()
     m_svm, m_avg = model.copy(), model.copy()
     for t in range(4):
@@ -466,7 +450,7 @@ def test_svm_stage_failure_names_its_round(monkeypatch):
     monkeypatch.setattr(strategies, "selective_aggregate", no_support)
     dataset = generate_synthetic(SyntheticSpec(num_clients=10, num_classes=2, seed=0))
     model = init_model(dataset.feature_dim, [8], 2, 2, np.random.default_rng(0))
-    server = make_server(SVM_MARGIN, schedule=schedule_over(4))
+    server = make_server("svm_margin", total_rounds=4)
     with pytest.raises(RuntimeError, match="round 3: class 0 has no support vectors"):
         run_round(3, model, dataset, server, ClientConfig(learning_rate=0.0), 1, seed=0)
 
@@ -499,8 +483,8 @@ def test_moon_round_uses_previous_model_store():
     assert server.prev_models  # clients trained this run are remembered
 
 
-@pytest.mark.parametrize("kind", [FEDAWS, SVM_MARGIN])
-def test_round_rewrites_only_its_own_aggregate(kind):
+@pytest.mark.parametrize("name", ["fedaws", "svm_margin"])
+def test_round_rewrites_only_its_own_aggregate(name):
     # These strategies rewrite the logit rows of the averaged model in
     # place; the caller's global model and the client models that moon
     # keeps must stay untouched.
@@ -509,8 +493,7 @@ def test_round_rewrites_only_its_own_aggregate(kind):
                        np.random.default_rng(6))
     cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.05,
                        variant=MOON, moon_coeff=1.0)
-    server = make_server(kind, server_learning_rate=1e-2,
-                         schedule=schedule_over(1))
+    server = make_server(name)
     before = model.params.copy()
     new_model, rec = run_round(0, model, dataset, server, cfg, 3, seed=23)
     assert np.array_equal(model.params, before)

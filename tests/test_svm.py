@@ -179,6 +179,13 @@ def test_degenerate_identical_samples_rejected():
         fit([[1.0, 2.0], [1.0, 2.0]], [1.0, -1.0], 1.0)
 
 
+def test_overflowing_gram_is_named():
+    # Finite samples whose inner products overflow used to give NaN alphas
+    # and an empty support set.
+    with pytest.raises(ValueError, match="Gram matrix"):
+        fit([[1e160], [-1e160]], [1.0, -1.0], 1.0)
+
+
 def test_nonconvergence_is_flagged_not_raised():
     x, y = random_separable_problem(np.random.default_rng(17), m_per_side=10, d=3)
     model = fit(x, y, 5.0, max_iters=1, tol=1e-300)
