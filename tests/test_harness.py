@@ -440,15 +440,6 @@ def test_cli_eval_stride_override_is_validated(tmp_path, capsys):
     assert not (tmp_path / "stride0").exists()
 
 
-def test_cli_sweep_rejects_a_checkpoint_past_the_run_before_running(tmp_path, capsys):
-    path = write_config(tmp_path, strategy="svm_margin", rounds=2,
-                        extra_run="sv_checkpoint_round = 5\n")
-    assert cli_main(["sweep", str(path), "--dims", "2", "--clients", "2",
-                     "--output-dir", str(tmp_path / "sweep")]) == 1
-    assert "run.sv_checkpoint_round" in capsys.readouterr().err
-    assert not (tmp_path / "sweep").exists()
-
-
 @pytest.mark.parametrize("name,key,value", [
     ("fedavg", "name", "fedsgd"),
     ("fedavg", "server_optimizer", "rmsprop"),
