@@ -1,6 +1,8 @@
 """Behaviour lock: every strategy on the shipped configs, 8 rounds, seeds
 0 and 1, must reproduce pinned digests of ``rounds.csv`` (wall-clock
-``ms`` column dropped) and ``summary.csv``.
+``ms`` column dropped) and ``summary.csv``; ``fedsvm run``, ``compare``
+and ``sweep`` on a 6-round cut of the same configs must reproduce pinned
+digests of their stdout and of every summary, compare and sweep table.
 
 A refactor must pass this unchanged. A change that alters numerics on
 purpose re-pins the digests in the same change and says why.
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from fedsvm.cli import main as cli_main
 from fedsvm.harness import parse_config, run_experiment
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -76,3 +79,111 @@ def run_digests(tmp_path, label):
 @pytest.mark.parametrize("label", sorted(STRATEGIES))
 def test_outputs_match_golden_digests(tmp_path, label):
     assert run_digests(tmp_path, label) == GOLDEN[label]
+
+
+# Text outputs: the command line on the shipped configs cut to 6 rounds,
+# seeds 0 and 1 and a target of 0.3, which some seeds reach and some
+# never do, so both forms of the rounds-to-target cell are pinned.
+TEXT_RUN = {"rounds": "6", "seeds": "0 1", "target_accuracy": "0.3"}
+COMPARED = ("fedavg", "fedadam", "moon", "svm_margin")
+
+# command -> sha256 of its stdout and of each file it writes, by name
+TEXT_GOLDEN = {
+    "run": {
+        "stdout":
+            "29613a8b0d333d40ab675b198f8577e69d8a4a05933b3637774cfcd52c81e8fb",
+        "summary.csv":
+            "7aa66aad878217c6e0954bcbc9dc78ef964cdfa8b06136e06cf095ff4356e97c",
+        "summary.txt":
+            "29613a8b0d333d40ab675b198f8577e69d8a4a05933b3637774cfcd52c81e8fb",
+    },
+    "compare": {
+        "stdout":
+            "c9f950e6d8e1b8cbe647de0d2deb3cd5a9e1743e08865db042074d09463cc358",
+        "compare.csv":
+            "b1291576a3c4af5de59bb2847e4b54b0531e03cd7e29d7c66d2b604ef6b502d1",
+        "compare.txt":
+            "c9f950e6d8e1b8cbe647de0d2deb3cd5a9e1743e08865db042074d09463cc358",
+        "fedavg/summary.csv":
+            "5f45f8ad19797e1bedf50d562f4968330d525670a9f1121d61bf9d13fd11d3d2",
+        "fedavg/summary.txt":
+            "d0497822df049766180069fe049e34d2e5e19436adda48cc2c5e655ff8d72dce",
+        "fedadam/summary.csv":
+            "7aa66aad878217c6e0954bcbc9dc78ef964cdfa8b06136e06cf095ff4356e97c",
+        "fedadam/summary.txt":
+            "29613a8b0d333d40ab675b198f8577e69d8a4a05933b3637774cfcd52c81e8fb",
+        "moon/summary.csv":
+            "681f14462e597bb70cb5dc37a12cd3b39b6098af503760efe2e5a2d97dfdcc16",
+        "moon/summary.txt":
+            "dbeab60620d59f5df151e8be46a241c0f091f2138bf8af8dc4c8028dec55343a",
+        "svm_margin/summary.csv":
+            "24854000a6ea95c49d4dc8d9a07cd70d299317a510a57ce690c31c31b41d2812",
+        "svm_margin/summary.txt":
+            "77eac5f2cef910da86d89a6a6a198fa9673b67fd17e2489f5e627959d30533d0",
+    },
+    "sweep": {
+        "stdout":
+            "dc5c9ffa52aa3bf5c1076b3b019182cf3cb8730bf6bf6cfc9b54d02f85e94c33",
+        "sweep.csv":
+            "d13186a61a6c30b3fe665ad1c4133e9230bcf8596dd2d79a73f835374cbe4727",
+        "d8_c4/summary.csv":
+            "9931b7e75c2dd724f15a9ac34471a077260f320f281d50346d266ee59cc9be0b",
+        "d8_c4/summary.txt":
+            "596df42588adf2a61d7e11e9361d46879c8996003adc777a59d32ddf422efad2",
+        "d8_c8/summary.csv":
+            "f8d0fbfcb19518d0ca8e21be5090ceabfeeff4d06775577e42c25d22b3792efe",
+        "d8_c8/summary.txt":
+            "101f27c2622695937f154a0ef5e862284edc0a513da071079c85f6d98d74a4e9",
+        "d16_c4/summary.csv":
+            "826656bd7539f185b0ee47b027dee6542087864a88ed54553013bf74f150c7ec",
+        "d16_c4/summary.txt":
+            "911005feaaad11f14480383e5a21c44fc61794123bf7c30526b33181a67ec6e9",
+        "d16_c8/summary.csv":
+            "24854000a6ea95c49d4dc8d9a07cd70d299317a510a57ce690c31c31b41d2812",
+        "d16_c8/summary.txt":
+            "77eac5f2cef910da86d89a6a6a198fa9673b67fd17e2489f5e627959d30533d0",
+    },
+}
+
+
+def write_text_config(tmp_path, label):
+    name, overrides = STRATEGIES[label]
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(CONFIGS / name)
+    for section, values in {**overrides, "run": TEXT_RUN}.items():
+        for key, value in values.items():
+            parser.set(section, key, value)
+    path = tmp_path / f"{label}.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    return str(path)
+
+
+def sha256(data):
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+def text_digests(tmp_path, capsys):
+    out = tmp_path / "out"
+    summaries = lambda runs: [Path(run, f"summary.{ext}").as_posix()
+                              for run in runs for ext in ("csv", "txt")]
+    commands = {
+        "run": (["run", write_text_config(tmp_path, "fedadam")], summaries(["."])),
+        "compare": (["compare", *(write_text_config(tmp_path, label) for label in COMPARED)],
+                    ["compare.csv", "compare.txt", *summaries(COMPARED)]),
+        "sweep": (["sweep", write_text_config(tmp_path, "svm_margin"),
+                   "--dims", "8", "16", "--clients", "4", "8"],
+                  ["sweep.csv", *summaries(f"d{d}_c{c}" for d in (8, 16) for c in (4, 8))]),
+    }
+    digests = {}
+    for command, (argv, files) in commands.items():
+        capsys.readouterr()
+        assert cli_main([*argv, "--output-dir", str(out / command)]) == 0
+        digests[command] = {"stdout": sha256(capsys.readouterr().out),
+                            **{name: sha256((out / command / name).read_bytes())
+                               for name in files}}
+    return digests
+
+
+def test_text_outputs_match_golden_digests(tmp_path, capsys):
+    assert text_digests(tmp_path, capsys) == TEXT_GOLDEN
