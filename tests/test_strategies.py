@@ -503,3 +503,33 @@ def test_round_rewrites_only_its_own_aggregate(name):
         rng = np.random.default_rng(np.random.SeedSequence([23, 2, 0, n]))
         expected, _ = client_update(n, model, dataset.clients[n], cfg, rng)
         assert np.array_equal(trained.params, expected.params)
+
+
+def test_reset_server_state_restarts_the_server_optimizer(monkeypatch):
+    # With the reset on, every round's server step is the first step of a
+    # fresh optimizer; the first round matches the run without the reset.
+    import fedsvm.strategies as strategies
+
+    steps = []
+
+    def counting_fedopt_step(global_model, delta, server_state):
+        new_model = fedopt_step(global_model, delta, server_state)
+        steps.append(server_state.step_count)
+        return new_model
+
+    monkeypatch.setattr(strategies, "fedopt_step", counting_fedopt_step)
+    dataset = small_dataset(7)
+    model = init_model(dataset.feature_dim, [5], 3, dataset.num_classes,
+                       np.random.default_rng(7))
+    cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.05)
+    runs = {}
+    for reset in (False, True):
+        server = make_server("fedadam", total_rounds=3, reset_server_state=reset)
+        m, steps[:] = model.copy(), []
+        runs[reset] = []
+        for t in range(3):
+            m, _ = run_round(t, m, dataset, server, cfg, 3, seed=29)
+            runs[reset].append(m.params.copy())
+        assert steps == ([1, 1, 1] if reset else [1, 2, 3])
+    assert np.array_equal(runs[True][0], runs[False][0])
+    assert not np.array_equal(runs[True][1], runs[False][1])
