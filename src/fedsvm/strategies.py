@@ -152,7 +152,10 @@ def penalty_value(strategy: StrategyConfig, t: int, total_rounds: int) -> float:
                strategy.svm_penalty_initial * (1.0 - t / total_rounds))
 
 
-def _make_server_optimizer(strategy: StrategyConfig) -> OptimizerState:
+def _make_server_optimizer(strategy: StrategyConfig) -> OptimizerState | None:
+    """The server step's optimizer; fedavg has none."""
+    if strategy.kind == FEDAVG:
+        return None
     lr = strategy.learning_rate
     if strategy.optimizer == SGD:
         log.warning("server optimizer is SGD: degenerate averaging-like update")
@@ -167,25 +170,17 @@ class ServerState:
     """Everything the round loop owns across rounds for one run."""
 
     strategy: StrategyConfig
-    total_rounds: int                         # the run length the penalty decays over
-    full_opt: OptimizerState | None = None    # pseudo-gradient optimizer, whole model
-    logit_opt: OptimizerState | None = None   # optimizer over the logit matrix only
+    total_rounds: int                   # the run length the penalty decays over
+    opt: OptimizerState | None = None   # over the model (fedopt) or the logit matrix
     prev_models: dict[int, Model] = field(default_factory=dict)
 
     @classmethod
     def create(cls, strategy: StrategyConfig, total_rounds: int) -> "ServerState":
-        state = cls(strategy, total_rounds)
-        if strategy.kind == FEDOPT:
-            state.full_opt = _make_server_optimizer(strategy)
-        elif strategy.kind in (FEDAWS, SVM_MARGIN):
-            state.logit_opt = _make_server_optimizer(strategy)
-        return state
+        return cls(strategy, total_rounds, _make_server_optimizer(strategy))
 
     def maybe_reset(self):
         if self.strategy.reset_server_state:
-            fresh = ServerState.create(self.strategy, self.total_rounds)
-            self.full_opt = fresh.full_opt
-            self.logit_opt = fresh.logit_opt
+            self.opt = _make_server_optimizer(self.strategy)
 
 
 @dataclass
@@ -474,17 +469,17 @@ def run_round(t: int, global_model: Model, dataset, server: ServerState,
                              selected_clients=selected)
 
     if strategy.kind == FEDOPT:
-        if server.full_opt.kind == SGD and server.full_opt.learning_rate == 1.0:
+        if server.opt.kind == SGD and server.opt.learning_rate == 1.0:
             # Exact algebraic identity: an SGD server step at unit rate on
             # -delta lands on the aggregate itself. Taking the aggregate
             # directly keeps the identity bitwise.
-            server.full_opt.step_count += 1
+            server.opt.step_count += 1
         else:
             new_model = fedopt_step(global_model, pseudo_gradient(global_model, new_model),
-                                    server.full_opt)
+                                    server.opt)
     elif strategy.kind == FEDAWS:
         new_model.logit_matrix[...] = fedaws_regularize(new_model.logit_matrix,
-                                                        server.logit_opt)
+                                                        server.opt)
     elif strategy.kind == SVM_MARGIN:
         lam = penalty_value(strategy, t, server.total_rounds)
         class_embeddings = {
@@ -502,7 +497,7 @@ def run_round(t: int, global_model: Model, dataset, server: ServerState,
         try:
             new_logits, record.sv_counts = selective_aggregate(svm)
             if strategy.reg_steps > 0:
-                new_logits, _ = spreadout_regularize(new_logits, svm, server.logit_opt,
+                new_logits, _ = spreadout_regularize(new_logits, svm, server.opt,
                                                      strategy.reg_steps)
         except ValueError as err:
             raise RuntimeError(f"round {t}: {err}") from err
