@@ -12,15 +12,15 @@ import argparse
 import dataclasses
 import logging
 import sys
+from pathlib import Path
 
 from .harness import (
     ConfigError,
     compare_strategies,
     parse_config,
-    render_compare_table,
     run_experiment,
     sv_sweep,
-    validate_config,
+    text_table,
 )
 
 
@@ -56,15 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path, args):
-    cfg = parse_config(path)
-    if args.seed_override is not None:
-        cfg = dataclasses.replace(cfg, seeds=tuple(args.seed_override))
-    if args.output_dir is not None:
-        cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
-    if args.eval_stride is not None:
-        cfg = dataclasses.replace(cfg, eval_stride=args.eval_stride)
-    validate_config(cfg)
-    return cfg
+    """The parsed config with the command-line overrides; ``replace``
+    checks the result again."""
+    overrides = {"seeds": args.seed_override and tuple(args.seed_override),
+                 "output_dir": args.output_dir, "eval_stride": args.eval_stride}
+    return dataclasses.replace(parse_config(path),
+                               **{k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:
@@ -82,17 +79,16 @@ def main(argv=None) -> int:
         if args.command == "compare":
             cfgs = [_load(path, args) for path in args.configs]
             out = args.output_dir or cfgs[0].output_dir
-            rows = compare_strategies(cfgs, out)
-            print(render_compare_table(rows))
+            compare_strategies(cfgs, out)
+            print((Path(out) / "compare.txt").read_text(), end="")
             return 0
         if args.command == "sweep":
             cfg = _load(args.config, args)
             out = args.output_dir or cfg.output_dir
             rows = sv_sweep(cfg, args.dims, args.clients, out)
-            print(f"{'d':>6} {'C':>6} {'round':>6} {'sv_count':>9} {'f1':>9}")
-            for row in rows:
-                print(f"{row['d']:>6} {row['C']:>6} {row['round']:>6} "
-                      f"{row['sv_count']:>9.2f} {row['f1']:>9.4f}")
+            print(text_table({"d": ">6", "C": ">6", "round": ">6", "sv_count": ">9", "f1": ">9"},
+                             [(row["d"], row["C"], row["round"], f"{row['sv_count']:.2f}",
+                               f"{row['f1']:.4f}") for row in rows]))
             return 0
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as err:

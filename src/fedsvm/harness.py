@@ -70,6 +70,12 @@ class DatasetConfig:
     partition_clients: int = 40
     partition_alpha: float = 0.5
 
+    def __post_init__(self):
+        if self.kind not in ("synthetic", "idx"):
+            raise ConfigError(f"dataset.kind: expected synthetic or idx, got {self.kind!r}")
+        if self.kind == "idx" and not (self.images and self.labels):
+            raise ConfigError("dataset.images and dataset.labels are required for idx datasets")
+
 
 @dataclass
 class ModelConfig:
@@ -78,10 +84,16 @@ class ModelConfig:
     embedding_dim: int = 64
     hidden_width: int = 64
 
+    def __post_init__(self):
+        if self.embedding_dim < 1 or self.hidden_width < 1:
+            raise ConfigError("model.embedding_dim and model.hidden_width must be positive")
+
 
 @dataclass
 class RunConfig:
-    """One field per section dataclass; the scalar fields are [run]."""
+    """One field per section dataclass; the scalar fields are [run]. Each
+    section checks its own values when it is built, ``replace`` included;
+    this one also checks the rules that span sections."""
 
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -95,6 +107,31 @@ class RunConfig:
     eval_stride: int = 1
     sv_checkpoint_round: int | None = None
     label: str = ""
+
+    def __post_init__(self):
+        if self.rounds < 1:
+            raise ConfigError("run.rounds must be >= 1")
+        if not self.seeds:
+            raise ConfigError("run.seeds must be nonempty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"run.seeds must not repeat a seed, got {self.seeds}")
+        if not 0.0 < self.target_accuracy < 1.0:
+            raise ConfigError("run.target_accuracy must lie in (0, 1)")
+        if self.eval_stride < 1:
+            raise ConfigError("run.eval_stride must be >= 1")
+        train_clients = self.num_clients - max(1, int(round(HELDOUT_FRACTION * self.num_clients)))
+        if self.clients_per_round > train_clients:
+            key = "clients" if self.dataset.kind == "synthetic" else "partition_clients"
+            raise ConfigError(
+                f"run.clients_per_round = {self.clients_per_round} exceeds the "
+                f"{train_clients} train clients implied by dataset.{key} = {self.num_clients}")
+        if self.clients_per_round < 1:
+            raise ConfigError("run.clients_per_round must be >= 1")
+        checkpoint = self.sv_checkpoint
+        if not 1 <= checkpoint <= self.rounds or not self.evaluates(checkpoint - 1):
+            raise ConfigError(
+                f"run.sv_checkpoint_round = {checkpoint} is not an evaluated round of "
+                f"run.rounds = {self.rounds} at run.eval_stride = {self.eval_stride}")
 
     @property
     def num_clients(self) -> int:
@@ -168,8 +205,8 @@ def _typed(section: str, key: str, raw: str, kind):
 
 
 def parse_config(path) -> RunConfig:
-    """Parse and validate a config file; absent keys take the defaults of
-    the section dataclasses, which follow the reference protocol."""
+    """Parse a config file into checked section dataclasses; absent keys
+    take their defaults, which follow the reference protocol."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -196,48 +233,12 @@ def parse_config(path) -> RunConfig:
         except ValueError as err:
             raise ConfigError(f"{section}: {err}") from err
 
-    cfg = build("run", RunConfig,
-                dataset=build("dataset", DatasetConfig,
-                              synthetic=build("dataset", SyntheticSpec)),
-                model=build("model", ModelConfig),
-                client=build("client", ClientConfig),
-                strategy=build("strategy", StrategyConfig))
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: RunConfig) -> None:
-    """The value checks of [dataset], [model] and [run] and those across
-    sections, on a config parsed or overridden; [client] and [strategy]
-    check their own values when they are built."""
-    ds = cfg.dataset
-    if ds.kind not in ("synthetic", "idx"):
-        raise ConfigError(f"dataset.kind: expected synthetic or idx, got {ds.kind!r}")
-    if ds.kind == "idx" and not (ds.images and ds.labels):
-        raise ConfigError("dataset.images and dataset.labels are required for idx datasets")
-    if cfg.model.embedding_dim < 1 or cfg.model.hidden_width < 1:
-        raise ConfigError("model.embedding_dim and model.hidden_width must be positive")
-    if cfg.rounds < 1:
-        raise ConfigError("run.rounds must be >= 1")
-    if not cfg.seeds:
-        raise ConfigError("run.seeds must be nonempty")
-    if not 0.0 < cfg.target_accuracy < 1.0:
-        raise ConfigError("run.target_accuracy must lie in (0, 1)")
-    if cfg.eval_stride < 1:
-        raise ConfigError("run.eval_stride must be >= 1")
-    train_clients = cfg.num_clients - max(1, int(round(HELDOUT_FRACTION * cfg.num_clients)))
-    if cfg.clients_per_round > train_clients:
-        key = "clients" if ds.kind == "synthetic" else "partition_clients"
-        raise ConfigError(
-            f"run.clients_per_round = {cfg.clients_per_round} exceeds the "
-            f"{train_clients} train clients implied by dataset.{key} = {cfg.num_clients}")
-    if cfg.clients_per_round < 1:
-        raise ConfigError("run.clients_per_round must be >= 1")
-    checkpoint = cfg.sv_checkpoint
-    if not 1 <= checkpoint <= cfg.rounds or not cfg.evaluates(checkpoint - 1):
-        raise ConfigError(
-            f"run.sv_checkpoint_round = {checkpoint} is not an evaluated round of "
-            f"run.rounds = {cfg.rounds} at run.eval_stride = {cfg.eval_stride}")
+    return build("run", RunConfig,
+                 dataset=build("dataset", DatasetConfig,
+                               synthetic=build("dataset", SyntheticSpec)),
+                 model=build("model", ModelConfig),
+                 client=build("client", ClientConfig),
+                 strategy=build("strategy", StrategyConfig))
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +273,11 @@ class SeedResult:
     seed: int
     rows: list[RoundRow]
     rounds_to_target: int | None
-    final_accuracy: float
-    final_f1: float
-    final_mcc: float
-    final_loss: float
+
+    @property
+    def final(self) -> RoundRow:
+        """The last round's row; the last round is always evaluated."""
+        return self.rows[-1]
 
 
 @dataclass
@@ -323,8 +325,7 @@ def _run_seed(cfg: RunConfig, seed: int, writer, fh, diag_path: Path | None) -> 
 
     crossing = rounds_to_target([row.accuracy for row in rows], cfg.target_accuracy)
     reached = None if crossing is None else rows[crossing - 1].round
-    last = rows[-1]
-    return SeedResult(seed, rows, reached, last.accuracy, last.f1, last.mcc, last.loss)
+    return SeedResult(seed, rows, reached)
 
 
 def run_experiment(cfg: RunConfig, output_dir=None) -> ExperimentResult:
@@ -355,52 +356,71 @@ def run_experiment(cfg: RunConfig, output_dir=None) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Seed aggregates
+# Seed aggregates and output tables
 # ---------------------------------------------------------------------------
 
-def _aggregate(results: list[SeedResult], total_rounds: int) -> dict[str, tuple[str, str]]:
-    """(mean, std) cells over seeds of rounds-to-target and the final
-    accuracy, f1, mcc and loss, as repr strings. Rounds-to-target reads
-    (">T", "") when any seed never reached the target."""
+_METRICS = ("accuracy", "f1", "mcc")
+_FINALS = (*_METRICS, "loss")
+
+
+def _aggregate(results: list[SeedResult]) -> dict[str, tuple[float, float] | None]:
+    """(mean, std) over seeds of rounds-to-target and the final accuracy,
+    f1, mcc and loss. Rounds-to-target is None when any seed never
+    reached the target."""
     reached = [r.rounds_to_target for r in results]
-    columns = {name: [getattr(r, f"final_{name}") for r in results]
-               for name in ("accuracy", "f1", "mcc", "loss")}
-    cells = {"rounds": (f">{total_rounds}", "")}
+    columns = {name: [getattr(r.final, name) for r in results] for name in _FINALS}
+    agg = {"rounds": None}
     if None not in reached:
         columns = {"rounds": reached, **columns}
     for name, values in columns.items():
         arr = np.asarray(values, dtype=np.float64)
-        cells[name] = (repr(float(arr.mean())), repr(float(arr.std())))
-    return cells
+        agg[name] = (float(arr.mean()), float(arr.std()))
+    return agg
 
 
-def _pm(mean: str, std: str, fmt: str) -> str:
-    """Text "mean±std" of a pair of cells; a ">T" cell stays as is."""
-    return f"{float(mean):{fmt}}±{float(std):{fmt}}" if std else mean
+def _cells(pair: tuple[float, float] | None, total_rounds: int) -> tuple:
+    """CSV (mean, std) cells of an aggregate; (">T", "") for None."""
+    return pair or (format_rounds(None, total_rounds), "")
+
+
+def _pm(pair: tuple[float, float] | None, fmt: str, total_rounds: int) -> str:
+    """Text "mean±std" of an aggregate; ">T" for None."""
+    return f"{pair[0]:{fmt}}±{pair[1]:{fmt}}" if pair else format_rounds(None, total_rounds)
+
+
+def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def text_table(columns: dict[str, str], rows) -> str:
+    """Aligned text table: ``columns`` maps each title to its alignment
+    and width, e.g. ">9"; ``rows`` hold the cells, already formatted."""
+    return "\n".join(" ".join(f"{cell:{spec}}" for cell, spec in zip(row, columns.values()))
+                     for row in [list(columns), *rows])
 
 
 def _write_summary(cfg: RunConfig, results: list[SeedResult], out: Path) -> None:
+    total = cfg.rounds
+    rows = [(r.seed, format_rounds(r.rounds_to_target, total),
+             *(getattr(r.final, name) for name in _FINALS)) for r in results]
+    table = text_table(
+        {"seed": ">6", "to_target": ">10", "accuracy": ">9", "f1": ">9", "mcc": ">9"},
+        [(seed, to_target, *(f"{v:.4f}" for v in metrics))
+         for seed, to_target, *metrics, _loss in rows])
     lines = [f"strategy: {cfg.algorithm_name()}",
-             f"rounds: {cfg.rounds}  clients/round: {cfg.clients_per_round}  "
-             f"target accuracy: {cfg.target_accuracy}", "",
-             f"{'seed':>6} {'to_target':>10} {'accuracy':>9} {'f1':>9} {'mcc':>9}"]
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_CSV_COLUMNS)
-        for r in results:
-            to_target = format_rounds(r.rounds_to_target, cfg.rounds)
-            writer.writerow([str(r.seed), to_target, repr(r.final_accuracy),
-                             repr(r.final_f1), repr(r.final_mcc), repr(r.final_loss)])
-            lines.append(f"{r.seed:>6} {to_target:>10} {r.final_accuracy:>9.4f} "
-                         f"{r.final_f1:>9.4f} {r.final_mcc:>9.4f}")
-        if results:
-            agg = _aggregate(results, cfg.rounds)
-            order = ("rounds", "accuracy", "f1", "mcc", "loss")
-            writer.writerow(["mean"] + [agg[key][0] for key in order])
-            writer.writerow(["std"] + [agg[key][1] for key in order])
-            lines += ["", f"aggregate: rounds {_pm(*agg['rounds'], '.1f')}, "
-                      f"accuracy {_pm(*agg['accuracy'], '.4f')}, "
-                      f"f1 {_pm(*agg['f1'], '.4f')}, mcc {_pm(*agg['mcc'], '.4f')}"]
+             f"rounds: {total}  clients/round: {cfg.clients_per_round}  "
+             f"target accuracy: {cfg.target_accuracy}", "", table]
+    if results:
+        agg = _aggregate(results)
+        cells = [_cells(agg[name], total) for name in ("rounds", *_FINALS)]
+        rows += zip(("mean", "std"), *cells)
+        lines += ["", f"aggregate: rounds {_pm(agg['rounds'], '.1f', total)}, "
+                  + ", ".join(f"{name} {_pm(agg[name], '.4f', total)}" for name in _METRICS)]
+    _write_csv(out / "summary.csv", SUMMARY_CSV_COLUMNS,
+               [dict(zip(SUMMARY_CSV_COLUMNS, row)) for row in rows])
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -435,37 +455,24 @@ def compare_strategies(configs: list[RunConfig], output_dir) -> list[dict]:
 
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    failures = []
+    rows, table_rows, failures = [], [], []
     for cfg, name in zip(configs, names):
         result = run_experiment(cfg, out / name)
         failures.extend(result.failed_seeds)
         if failures:
             continue
-        agg = _aggregate(result.seed_results, cfg.rounds)
-        row = {"strategy": name}
-        for key in ("rounds", "accuracy", "f1", "mcc"):
-            row[f"{key}_mean"], row[f"{key}_std"] = agg[key]
-        rows.append(row)
+        agg = _aggregate(result.seed_results)
+        cells = [cell for key in ("rounds", *_METRICS) for cell in _cells(agg[key], cfg.rounds)]
+        rows.append(dict(zip(COMPARE_CSV_COLUMNS, (name, *cells))))
+        table_rows.append((name, _pm(agg["rounds"], ".1f", cfg.rounds),
+                           *(_pm(agg[key], ".4f", cfg.rounds) for key in _METRICS)))
     if failures:
         raise RuntimeError(f"compare aborted, failed seeds: {failures}")
-    with open(out / "compare.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=COMPARE_CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-    (out / "compare.txt").write_text(render_compare_table(rows) + "\n")
+    _write_csv(out / "compare.csv", COMPARE_CSV_COLUMNS, rows)
+    table = text_table({"strategy": "<12", "rounds": ">14", "accuracy": ">17",
+                        "f1": ">17", "mcc": ">17"}, table_rows)
+    (out / "compare.txt").write_text(table + "\n")
     return rows
-
-
-def render_compare_table(rows: list[dict]) -> str:
-    lines = [f"{'strategy':<12} {'rounds':>14} {'accuracy':>17} {'f1':>17} {'mcc':>17}"]
-    for row in rows:
-        rounds, acc, f1, mcc_txt = (
-            _pm(row[f"{key}_mean"], row[f"{key}_std"], fmt)
-            for key, fmt in (("rounds", ".1f"), ("accuracy", ".4f"),
-                             ("f1", ".4f"), ("mcc", ".4f")))
-        lines.append(f"{row['strategy']:<12} {rounds:>14} {acc:>17} {f1:>17} {mcc_txt:>17}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -487,19 +494,15 @@ def sv_sweep(base: RunConfig, embedding_dims: list[int], clients_per_round: list
         for c in clients_per_round:
             cfg = replace(base, model=replace(base.model, embedding_dim=d),
                           clients_per_round=c)
-            validate_config(cfg)
             result = run_experiment(cfg, out / f"d{d}_c{c}")
             if result.failed_seeds:
                 raise RuntimeError(f"sweep (d={d}, C={c}) failed seeds: "
                                    f"{result.failed_seeds}")
-            # validate_config makes the checkpoint an evaluated round.
+            # RunConfig makes the checkpoint an evaluated round.
             counts = [next(row.sv_counts[1] for row in res.rows if row.round == checkpoint)
                       for res in result.seed_results]
             rows.append({"d": d, "C": c, "round": checkpoint,
                          "sv_count": float(np.mean(counts)),
-                         "f1": float(np.mean([r.final_f1 for r in result.seed_results]))})
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+                         "f1": float(np.mean([r.final.f1 for r in result.seed_results]))})
+    _write_csv(out / "sweep.csv", SWEEP_CSV_COLUMNS, rows)
     return rows

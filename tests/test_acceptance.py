@@ -363,8 +363,8 @@ def test_criterion_5_convergence_acceleration(standard_runs):
     svm = standard_runs[("svm_margin", 1)]
     med_fedavg = median_rounds(fedavg)
     med_svm = median_rounds(svm)
-    f1_fedavg = float(np.mean([r.final_f1 for r in fedavg.seed_results]))
-    f1_svm = float(np.mean([r.final_f1 for r in svm.seed_results]))
+    f1_fedavg = float(np.mean([r.final.f1 for r in fedavg.seed_results]))
+    f1_svm = float(np.mean([r.final.f1 for r in svm.seed_results]))
     elapsed = standard_runs["elapsed_e1"]
     ok = med_svm < med_fedavg and f1_svm >= f1_fedavg and elapsed < 600.0
     report(5, "SVM-guided aggregation converges faster than plain averaging", ok,

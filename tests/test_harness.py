@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,11 @@ from fedsvm.cli import main as cli_main
 from fedsvm.harness import (
     COMPARE_CSV_COLUMNS,
     ConfigError,
+    DatasetConfig,
+    ModelConfig,
     ROUNDS_CSV_COLUMNS,
     SWEEP_CSV_COLUMNS,
+    RunConfig,
     compare_strategies,
     parse_config,
     run_experiment,
@@ -142,6 +146,35 @@ def test_missing_file_is_config_error(tmp_path):
 def test_seed_list_parsing(tmp_path):
     path = write_config(tmp_path, seeds="3, 1 4")
     assert parse_config(path).seeds == (3, 1, 4)
+
+
+def test_repeated_seed_is_rejected(tmp_path):
+    # A repeated seed would run twice and count as two seeds in the std.
+    with pytest.raises(ConfigError, match="run.seeds"):
+        parse_config(write_config(tmp_path, seeds="0 0"))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("eval_stride", 0), ("rounds", 0), ("seeds", ()), ("seeds", (1, 1)),
+])
+def test_config_built_in_code_is_checked(tmp_path, monkeypatch, field, value):
+    # Building or replacing a config in code checks it as parsing does,
+    # so no seed starts on a config the parser would refuse.
+    import fedsvm.harness as harness
+
+    monkeypatch.setattr(harness, "_run_seed", lambda *args: pytest.fail("a seed ran"))
+    cfg = parse_config(write_config(tmp_path))
+    with pytest.raises(ConfigError, match=f"run.{field}"):
+        harness.run_experiment(replace(cfg, **{field: value}), tmp_path / "replaced")
+    with pytest.raises(ConfigError, match=f"run.{field}"):
+        RunConfig(**{field: value})
+
+
+def test_dataset_and_model_built_in_code_are_checked():
+    with pytest.raises(ConfigError, match="dataset.images"):
+        DatasetConfig(kind="idx")
+    with pytest.raises(ConfigError, match="model.embedding_dim"):
+        replace(ModelConfig(), embedding_dim=0)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +457,14 @@ def test_cli_seed_override(tmp_path):
                      "--output-dir", str(tmp_path / "ovr")]) == 0
     rows = read_rounds(tmp_path / "ovr" / "rounds.csv")[1:]
     assert {r[0] for r in rows} == {"5"}
+
+
+def test_cli_repeated_seed_override_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, rounds=2)
+    assert cli_main(["run", str(path), "--seed-override", "1", "1",
+                     "--output-dir", str(tmp_path / "twice")]) == 1
+    assert "run.seeds" in capsys.readouterr().err
+    assert not (tmp_path / "twice").exists()
 
 
 def test_cli_config_error_exit_code(tmp_path):
