@@ -127,8 +127,10 @@ class RunConfig:
                 f"{train_clients} train clients implied by dataset.{key} = {self.num_clients}")
         if self.clients_per_round < 1:
             raise ConfigError("run.clients_per_round must be >= 1")
+        # Only a sweep over svm_margin reads the checkpoint round.
         checkpoint = self.sv_checkpoint
-        if not 1 <= checkpoint <= self.rounds or not self.evaluates(checkpoint - 1):
+        if self.strategy.kind == SVM_MARGIN and (
+                not 1 <= checkpoint <= self.rounds or not self.evaluates(checkpoint - 1)):
             raise ConfigError(
                 f"run.sv_checkpoint_round = {checkpoint} is not an evaluated round of "
                 f"run.rounds = {self.rounds} at run.eval_stride = {self.eval_stride}")

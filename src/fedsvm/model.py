@@ -130,73 +130,124 @@ def predict(model: Model, inputs: Tensor) -> np.ndarray:
     return np.argmax(logits(model, inputs), axis=1)
 
 
-def _softmax(scores: Tensor) -> Tensor:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+def _softmax(scores: Tensor, axis: int = 1) -> Tensor:
+    """Max-shifted softmax along ``axis``, in a new array."""
+    exp = scores - scores.max(axis=axis, keepdims=True)
+    np.exp(exp, out=exp)
+    exp /= exp.sum(axis=axis, keepdims=True)
+    return exp
 
 
 def encode_with_cache(model: Model, inputs: Tensor):
-    """Forward pass through the encoder, keeping the per-layer inputs and
-    pre-activations needed by ``encoder_backward``."""
+    """Forward pass through the encoder, keeping the per-layer inputs
+    that ``encoder_backward`` needs; a hidden layer's ReLU mask is read
+    off its output, which is positive exactly where its input is."""
     h = as_tensor(inputs)
     if h.ndim != 2 or h.shape[1] != model.input_dim:
         raise ValueError(
             f"encoder expects B x {model.input_dim} inputs, got {h.shape}")
     acts = [h]
-    pre = []
     last = len(model.encoder) - 1
     for i, (w, b) in enumerate(model.encoder):
-        z = h @ w.T + b
-        pre.append(z)
-        h = np.maximum(z, 0.0) if i != last else z
+        h = h @ w.T
+        h += b
+        if i != last:
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
-    return h, (acts, pre)
+    return h, acts
 
 
-def encoder_backward(model: Model, cache, d_emb: Tensor) -> Model:
+def segment_bounds(bounds, rows: int) -> np.ndarray:
+    """Row offsets ``[b_0 = 0, ..., b_S = rows]`` of S nonempty segments;
+    ``None`` is the whole batch as one segment."""
+    if bounds is None:
+        return np.array([0, rows])
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if bounds[0] != 0 or bounds[-1] != rows or np.any(np.diff(bounds) < 1):
+        raise ValueError(f"segment bounds {bounds} do not split {rows} rows")
+    return bounds
+
+
+def encoder_backward(model: Model, acts, d_emb: Tensor, bounds, out: Tensor) -> None:
     """Backpropagate a gradient w.r.t. the embeddings to all encoder
-    parameters. The returned container has a zero logit-matrix gradient."""
-    acts, pre = cache
+    parameters, one gradient per segment; ``acts`` are the layer inputs
+    and outputs that ``encode_with_cache`` kept.
+
+    Segment s is rows ``bounds[s]:bounds[s + 1]`` of the batch, and its
+    gradient is written to row s of ``out`` (S x P); the activations
+    are shared, the weight and bias reductions are per segment. The
+    logit-matrix span of every row is set to zero.
+    """
+    spans = model._spans
+    starts = bounds[:-1]
+    pairs = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
     last = len(model.encoder) - 1
     dh = d_emb
-    grads = model.with_params(np.zeros(model.params.size))
+    out[:, spans[-1][0]:] = 0.0
     for i in range(last, -1, -1):
-        dz = dh if i == last else dh * (pre[i] > 0.0)
-        gw, gb = grads.encoder[i]
-        np.matmul(dz.T, acts[i], out=gw)
-        dz.sum(axis=0, out=gb)
+        dz = dh
+        if i != last:
+            dz *= acts[i + 1] > 0.0
+        (w0, w1, shape), (b0, b1, _) = spans[2 * i], spans[2 * i + 1]
+        for row, (a, b) in zip(out, pairs):
+            np.matmul(dz[a:b].T, acts[i][a:b], out=row[w0:w1].reshape(shape))
+        out[:, b0:b1] = np.add.reduceat(dz, starts, axis=0)
         if i > 0:
             dh = dz @ model.encoder[i][0]
-    return grads
 
 
-def loss_and_gradient(model: Model, batch: Batch) -> tuple[float, Model]:
+def loss_and_gradient(model: Model, batch: Batch, bounds=None, out: Tensor | None = None,
+                      embedding_term=None):
     """Mean softmax cross-entropy and its gradients for every parameter.
 
-    Returns the loss and a model-shaped gradient container. The softmax
-    is max-shifted, so overflow cannot occur; a non-finite loss is
-    reported as an error rather than propagated.
+    The batch may hold the batches of several clients that share these
+    parameters: ``bounds`` gives the S + 1 row offsets of the segments
+    (see ``encoder_backward``). Every row is divided by its own
+    segment's length, so each segment's gradient is that of its own
+    mean loss; the forward pass is one matrix product per layer over
+    all rows. With ``bounds``, returns the S segment losses and ``out``
+    (S x P) holding the gradients. Without, the batch is one segment
+    and the result is the loss and a model-shaped gradient container.
+    ``embedding_term(emb, bounds)``, when given, returns the gradient of
+    a further loss on the embeddings; it joins the encoder's backward
+    pass, and its value is not part of the returned loss.
+
+    The softmax is max-shifted, so overflow cannot occur; a non-finite
+    loss of a single segment is reported as an error rather than
+    propagated, and the segmented caller checks its losses itself.
     """
     x = batch.inputs
     y = batch.labels
     if y.min() < 0 or y.max() >= model.num_classes:
         raise ValueError("labels out of range")
-    bsz = x.shape[0]
+    whole = bounds is None
+    bounds = segment_bounds(bounds, x.shape[0])
+    sizes = np.diff(bounds)
+    if out is None:
+        out = np.empty((sizes.size, model.params.size))
 
-    emb, cache = encode_with_cache(model, x)
-    scores = emb @ model.logit_matrix.T
-    probs = _softmax(scores)
-    rows = np.arange(bsz)
-    picked = probs[rows, y]
-    loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    emb, acts = encode_with_cache(model, x)
+    # Class-major (K x B) scores, so the softmax reduces across rows.
+    probs = _softmax(model.logit_matrix @ emb.T, axis=0)
+    rows = np.arange(x.shape[0])
+    log_picked = np.log(np.maximum(probs[y, rows], 1e-300))
+    losses = -np.add.reduceat(log_picked, bounds[:-1]) / sizes
+
+    # The score gradient is (probs - onehot(y)) / B, built in place, with
+    # B the length of each row's segment.
+    dscores = probs
+    dscores[y, rows] -= 1.0
+    dscores /= np.repeat(sizes, sizes)
+    d_emb = dscores.T @ model.logit_matrix
+    if embedding_term is not None:
+        d_emb += embedding_term(emb, bounds)
+    encoder_backward(model, acts, d_emb, bounds, out)
+    start, end, shape = model._spans[-1]
+    for row, a, b in zip(out, bounds[:-1].tolist(), bounds[1:].tolist()):
+        np.matmul(dscores[:, a:b], emb[a:b], out=row[start:end].reshape(shape))
+    if not whole:
+        return losses, out
+    loss = float(losses[0])
     if not np.isfinite(loss):
         raise ValueError("non-finite loss")
-
-    # The score gradient is (probs - onehot(y)) / B, built in place.
-    dscores = probs
-    dscores[rows, y] -= 1.0
-    dscores /= bsz
-    grads = encoder_backward(model, cache, dscores @ model.logit_matrix)
-    np.matmul(dscores.T, emb, out=grads.logit_matrix)
-    return loss, grads
+    return loss, model.with_params(out[0])

@@ -65,9 +65,10 @@ def weighted_mean(arrays: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
     Computed as ``x0 + sum_i u_i * (x_i - x0)`` with ``u_i = w_i / sum(w)``,
     accumulated in input order. The anchored form makes the mean of a
     single array, or of identical arrays, exactly the input; the fixed
-    order makes the reduction reproducible. Callers that must agree
-    bitwise (full-model averaging vs. per-row selective averaging) all
-    route through this function.
+    order makes the reduction reproducible. ``arrays`` may be the rows
+    of one 2-D array; the sum builds in place with one scratch row.
+    Callers that must agree bitwise (full-model averaging vs. per-row
+    selective averaging) all route through this function.
     """
     if len(arrays) == 0:
         raise ValueError("weighted_mean of empty sequence")
@@ -81,10 +82,14 @@ def weighted_mean(arrays: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
         total += wi
     anchor = arrays[0]
     acc = np.zeros_like(anchor)
+    scratch = np.empty_like(anchor)
     for xi, wi in zip(arrays, w):
         check_same_shape(anchor, xi, "weighted_mean inputs")
-        acc += (wi / total) * (xi - anchor)
-    return anchor + acc
+        np.subtract(xi, anchor, out=scratch)
+        scratch *= wi / total
+        acc += scratch
+    acc += anchor
+    return acc
 
 
 def relative_error(approx: Tensor, exact: Tensor) -> float:

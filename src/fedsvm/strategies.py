@@ -27,6 +27,7 @@ from .model import (
     encode_with_cache,
     encoder_backward,
     loss_and_gradient,
+    segment_bounds,
 )
 from .numerics import Tensor, check_finite, weighted_mean
 from .optim import (
@@ -38,7 +39,6 @@ from .optim import (
     amsgrad_state,
     optimizer_step,
     sgd_state,
-    sgd_step,
 )
 from .svm import OvoSvm, fit_ovo, hyperplane, support_vectors_of_class
 
@@ -198,17 +198,17 @@ class RoundRecordData:
 # Client side
 # ---------------------------------------------------------------------------
 
-def moon_loss_and_gradient(model: Model, global_model: Model, prev_model: Model,
-                           inputs: Tensor, temperature: float) -> tuple[float, Model]:
-    """Contrastive embedding loss against the global (positive) and the
-    previous local (negative) model, mean over the batch.
+def moon_embedding_gradient(z: Tensor, z_g: Tensor, z_p: Tensor, temperature: float,
+                            bounds) -> tuple[Tensor, Tensor]:
+    """Contrastive embedding loss against the global (positive, ``z_g``)
+    and the previous local (negative, ``z_p``) embeddings: the mean loss
+    of each segment (see ``model.loss_and_gradient``) and the gradient
+    w.r.t. ``z``, each row divided by its segment's length.
 
     Per sample the loss is ``-log softmax_g(cos(z, z_g)/tau, cos(z, z_p)/tau)``
     where only ``z`` (the current model's embedding) carries gradient.
     """
-    z, cache = encode_with_cache(model, inputs)
-    z_g = encode(global_model, inputs)
-    z_p = encode(prev_model, inputs)
+    sizes = np.diff(bounds)
     nz = np.linalg.norm(z, axis=1)
     ng = np.linalg.norm(z_g, axis=1)
     npv = np.linalg.norm(z_p, axis=1)
@@ -217,14 +217,13 @@ def moon_loss_and_gradient(model: Model, global_model: Model, prev_model: Model,
     sz = np.where(nz > 0, nz, 1.0)
     sg = np.where(ng > 0, ng, 1.0)
     sp = np.where(npv > 0, npv, 1.0)
-    bsz = z.shape[0]
     cos_g = np.sum(z * z_g, axis=1) / (sz * sg)
     cos_p = np.sum(z * z_p, axis=1) / (sz * sp)
     a = cos_g / temperature
     b = cos_p / temperature
     top = np.maximum(a, b)
     lse = top + np.log(np.exp(a - top) + np.exp(b - top))
-    loss = float(np.mean(lse - a))
+    losses = np.add.reduceat(lse - a, bounds[:-1]) / sizes
     p_g = np.exp(a - lse)
     p_p = np.exp(b - lse)
     dc_g = (p_g - 1.0) / temperature
@@ -234,74 +233,224 @@ def moon_loss_and_gradient(model: Model, global_model: Model, prev_model: Model,
         + (dc_p / (sz * sp))[:, None] * z_p \
         - ((dc_g * cos_g + dc_p * cos_p) / (sz * sz))[:, None] * z
     dz[nz == 0] = 0.0
-    dz /= bsz
-    return loss, encoder_backward(model, cache, dz)
+    dz /= np.repeat(sizes, sizes)[:, None]
+    return losses, dz
 
 
-def client_update(n: int, global_model: Model, data: tuple[Tensor, np.ndarray],
-                  config: ClientConfig, rng: np.random.Generator,
-                  prev_model: Model | None = None) -> tuple[Model, float]:
-    """Local training on client ``n``; returns the trained model and the
-    mean batch loss. The global model is never mutated.
+def _contrast_embeddings(model: Model, global_model: Model, prev_models: Sequence[Model],
+                         inputs: Tensor, z: Tensor, bounds) -> tuple[Tensor, Tensor]:
+    """The global model's embeddings of ``inputs`` and, per segment, its
+    previous model's; ``z`` is ``model``'s own. ``z`` serves as the
+    global embedding when ``model`` is the global model, and the global
+    embedding serves a previous model that is the global model."""
+    z_g = z if model is global_model else encode(global_model, inputs)
+    z_p = np.empty_like(z)
+    for prev, a, b in zip(prev_models, bounds[:-1].tolist(), bounds[1:].tolist()):
+        z_p[a:b] = z_g[a:b] if prev is global_model else encode(prev, inputs[a:b])
+    return z_g, z_p
 
-    Batches come from a seeded shuffle per epoch, last partial batch
-    kept. The proximal variant adds ``mu * (theta - theta_global)`` to
-    every gradient; the contrastive variant adds its encoder gradient
+
+def moon_loss_and_gradient(model: Model, global_model: Model, prev_model: Model,
+                           inputs: Tensor, temperature: float) -> tuple[float, Model]:
+    """``moon_embedding_gradient`` of one batch, mean over the batch, and
+    its gradient for every parameter (zero for the logit matrix)."""
+    z, acts = encode_with_cache(model, inputs)
+    bounds = segment_bounds(None, z.shape[0])
+    z_g, z_p = _contrast_embeddings(model, global_model, [prev_model], inputs, z, bounds)
+    losses, dz = moon_embedding_gradient(z, z_g, z_p, temperature, bounds)
+    out = np.empty((1, model.params.size))
+    encoder_backward(model, acts, dz, bounds, out)
+    return float(losses[0]), model.with_params(out[0])
+
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) on 64-bit words.
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+
+
+def _splitmix64(z):
+    """The first output of a SplitMix64 generator seeded with ``z``, a
+    Python int or, wrapping, each entry of a uint64 array."""
+    z = (z + _GAMMA) & _MASK
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
+
+
+def batch_orders(seed: int, t: int, clients: Sequence[int], sizes: Sequence[int],
+                 epoch: int) -> np.ndarray:
+    """The epoch's sample order of each client, client after client: a
+    permutation of ``range(sizes[i])`` for ``clients[i]``.
+
+    Each client draws a SplitMix64 stream keyed on ``(seed, t, epoch,
+    client)`` and sorts its samples by their draws, so its order depends
+    on those keys alone, not on which other clients were sampled, and
+    the whole cohort is ordered in one pass.
+    """
+    key = _splitmix64(_splitmix64(_splitmix64(seed) ^ t) ^ epoch)
+    keys = np.array([_splitmix64(key ^ int(n)) for n in clients], dtype=np.uint64)
+    sizes = np.asarray(sizes)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    offsets = np.cumsum(sizes) - sizes
+    sample = np.arange(owner.size) - offsets[owner]
+    draws = _splitmix64(keys[owner] + sample.astype(np.uint64) * np.uint64(_GAMMA))
+    # One sort key per sample, the client in its top bits: a stable sort
+    # orders each client's samples by draw, ties by sample index.
+    shift = max(1, (sizes.size - 1).bit_length())
+    sort_key = draws >> np.uint64(shift) | owner.astype(np.uint64) << np.uint64(64 - shift)
+    return np.argsort(sort_key, kind="stable") - offsets[owner]
+
+
+# Rows in one forward pass of a cohort step: the cap bounds a step's
+# temporaries whatever the cohort size. A client whose batch alone is
+# longer gets a pass of its own.
+COHORT_ROWS = 256
+
+
+def _chunks(counts: list[int]):
+    """Consecutive ranges ``[lo, hi)`` of the segments with these row
+    counts, each of at most ``COHORT_ROWS`` rows or a single segment."""
+    lo = 0
+    while lo < len(counts):
+        hi, rows = lo + 1, counts[lo]
+        while hi < len(counts) and rows + counts[hi] <= COHORT_ROWS:
+            rows += counts[hi]
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
+def _group_gradients(model: Model, members: list[int], picks: list[np.ndarray],
+                     data: Sequence[tuple[Tensor, np.ndarray]], config: ClientConfig,
+                     global_model: Model, prev_models: Sequence[Model] | None,
+                     grads: Tensor) -> Tensor:
+    """Gradients of the cohort ``members``, all at ``model``'s parameters,
+    on their batches (sample indices ``picks[c]``), into the rows of
+    ``grads``; returns their losses. With ``prev_models``, the
+    contrastive gradient scaled by ``moon_coeff`` joins each backward
+    pass. One forward and backward runs per chunk of at most
+    ``COHORT_ROWS`` rows."""
+    counts = [picks[c].size for c in members]
+    losses = np.empty(len(members))
+    for lo, hi in _chunks(counts):
+        chunk = members[lo:hi]
+        x = np.concatenate([data[c][0][picks[c]] for c in chunk])
+        y = np.concatenate([data[c][1][picks[c]] for c in chunk])
+        moon = None
+        if prev_models is not None:
+            prevs = [prev_models[c] for c in chunk]
+
+            def moon(z, bounds, x=x, prevs=prevs):
+                z_g, z_p = _contrast_embeddings(model, global_model, prevs, x, z, bounds)
+                _, dz = moon_embedding_gradient(z, z_g, z_p, config.moon_temperature, bounds)
+                dz *= config.moon_coeff
+                return dz
+
+        losses[lo:hi], _ = loss_and_gradient(model, Batch(x, y), np.cumsum([0] + counts[lo:hi]),
+                                             grads[lo:hi], embedding_term=moon)
+    return losses
+
+
+def _check_finite_rows(values: Tensor, members: list[int], clients: Sequence[int],
+                       t: int, what: str) -> None:
+    """Raise naming the first member whose row of ``values`` is not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        c = members[int(np.argmin(finite.reshape(len(members), -1).all(axis=1)))]
+        raise ValueError(f"round {t}, client {clients[c]}: non-finite {what}")
+
+
+def client_update(global_model: Model, data: Sequence[tuple[Tensor, np.ndarray]],
+                  config: ClientConfig, seed: int, t: int, clients: Sequence[int],
+                  prev_models: Sequence[Model] | None = None) -> tuple[Tensor, Tensor]:
+    """Local training of round ``t``'s sampled ``clients`` as one cohort,
+    each on its own ``data`` starting from the global model, which is
+    never mutated. ``prev_models`` are the contrastive variant's previous
+    models, one per client (the global model when not given).
+
+    Returns the trained parameters as a (C, P) array, row i for
+    ``clients[i]``, and each client's mean batch loss.
+
+    Each epoch walks every client's samples in its ``batch_orders``
+    order, last partial batch kept. Every step runs one forward and
+    backward over the batches of all clients whose parameters are the
+    same vector: at the first step, and at every step when the rate is
+    zero, that is the whole cohort at the global model; at later steps
+    each client is a group of one. The proximal variant adds
+    ``mu * (theta - theta_global)`` to every gradient, exactly zero at
+    the global model; the contrastive variant adds its encoder gradient
     scaled by ``moon_coeff``. Zero-coefficient variants take the exact
     vanilla path so they are bitwise-identical to it.
     """
-    features, labels = data
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[0] == 0:
-        raise ValueError(f"client {n}: empty dataset")
-
-    # A positive rate binds the model to a new vector at every step, so
-    # the global model is never written to and needs no copy.
-    if config.learning_rate > 0:
-        model = global_model
-        opt = sgd_state(config.learning_rate)
-    else:
-        model = global_model.copy()
-        opt = None
-
+    sizes = [int(labels.shape[0]) for _, labels in data]
+    for n, size in zip(clients, sizes):
+        if size == 0:
+            raise ValueError(f"round {t}, client {n}: empty dataset")
+    lr = config.learning_rate
     use_prox = config.variant == PROX and config.prox_mu != 0.0
-    use_moon = config.variant == MOON and config.moon_coeff != 0.0
-    if use_moon and prev_model is None:
-        prev_model = global_model
+    use_moon = config.variant == MOON and config.moon_coeff != 0.0 and lr > 0
+    if not use_moon:
+        prev_models = None
+    elif prev_models is None:
+        prev_models = [global_model] * len(clients)
+    theta = global_model.params
 
-    losses = []
-    n_samples = features.shape[0]
-    for _ in range(config.epochs):
-        order = rng.permutation(n_samples)
-        for start in range(0, n_samples, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            batch = Batch(features[idx], labels[idx])
-            loss, grads = loss_and_gradient(model, batch)
-            losses.append(loss)
-            grad = grads.params
-            if use_prox:
-                grad += config.prox_mu * (model.params - global_model.params)
-            if use_moon:
-                _, moon_grads = moon_loss_and_gradient(
-                    model, global_model, prev_model, batch.inputs,
-                    config.moon_temperature)
-                grad += config.moon_coeff * moon_grads.params
-            if opt is not None:
-                model = model.with_params(sgd_step(model.params, grad, opt))
-    return model, float(np.mean(losses))
+    # Every client takes the first step, which writes its whole row.
+    params = np.empty((len(clients), theta.size))
+    scratch = np.empty((1, theta.size))
+    loss_sum = np.zeros(len(clients))
+    batches = np.zeros(len(clients))
+    offsets = np.cumsum(sizes) - sizes
+    shared = True    # every client still holds the global model
+    for epoch in range(config.epochs):
+        order = batch_orders(seed, t, clients, sizes, epoch)
+        for start in range(0, max(sizes), config.batch_size):
+            picks = [order[o + min(n, start):o + min(n, start + config.batch_size)]
+                     for o, n in zip(offsets, sizes)]
+            active = [c for c, pick in enumerate(picks) if pick.size]
+            # A shared step writes the gradients straight into the
+            # parameter rows and steps them in place; with a zero rate
+            # the rows are only scratch, reset at the end.
+            if shared:
+                groups = [(global_model, active, params[:len(active)])]
+            else:
+                groups = [(global_model.with_params(params[c]), [c], scratch) for c in active]
+            for model, members, grads in groups:
+                losses = _group_gradients(model, members, picks, data, config,
+                                          global_model, prev_models, grads)
+                _check_finite_rows(losses, members, clients, t, "loss")
+                loss_sum[members] += losses
+                batches[members] += 1
+                if lr == 0:
+                    continue
+                if use_prox and not shared:
+                    grads += config.prox_mu * (params[members] - theta)
+                _check_finite_rows(grads, members, clients, t, "gradient")
+                # theta - lr * grad in place: (-lr) * g is exactly -(lr * g).
+                grads *= -lr
+                if shared:
+                    grads += theta
+                else:
+                    params[members] += grads
+            shared = lr == 0
+    if lr == 0:
+        params[:] = theta
+    return params, loss_sum / batches
 
 
 # ---------------------------------------------------------------------------
 # Server side
 # ---------------------------------------------------------------------------
 
-def fedavg_aggregate(models: Sequence[Model], dataset_sizes: Sequence[float]) -> Model:
-    """Parameter-wise weighted mean with weights ``|D_n| / sum |D_n|``."""
-    if len(models) == 0:
+def fedavg_aggregate(global_model: Model, client_params: Tensor,
+                     dataset_sizes: Sequence[float]) -> Model:
+    """Parameter-wise weighted mean of the (C, P) client rows with weights
+    ``|D_n| / sum |D_n|``, in a new buffer of the global model's layout."""
+    if len(client_params) == 0:
         raise ValueError("cannot aggregate an empty model list")
-    if any(m.layout != models[0].layout for m in models):
+    if client_params.ndim != 2 or client_params.shape[1] != global_model.params.size:
         raise ValueError("structurally incompatible models")
-    return models[0].with_params(weighted_mean([m.params for m in models], dataset_sizes))
+    return global_model.with_params(weighted_mean(client_params, dataset_sizes))
 
 
 def pseudo_gradient(global_model: Model, aggregated: Model) -> Tensor:
@@ -421,10 +570,6 @@ def sample_clients(train_indices: Sequence[int], count: int,
     return tuple(sorted(int(i) for i in picked))
 
 
-def _client_rng(seed: int, t: int, n: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, 2, t, n]))
-
-
 def _sampling_rng(seed: int, t: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, 1, t]))
 
@@ -434,37 +579,30 @@ def run_round(t: int, global_model: Model, dataset, server: ServerState,
               seed: int) -> tuple[Model, RoundRecordData]:
     """One full aggregation round.
 
-    Samples clients without replacement, trains each from the current
-    global model, then applies the server strategy. Client updates are
-    consumed in client-index order; all randomness is keyed on
-    ``(seed, round, client)`` so results do not depend on scheduling.
+    Samples clients without replacement, trains them as one cohort from
+    the current global model, then applies the server strategy. Client
+    rows are consumed in client-index order; all randomness is keyed on
+    ``(seed, round)`` and ``(seed, round, client, epoch)``, so a client's
+    batches do not depend on which other clients were sampled.
     """
     strategy = server.strategy
     selected = sample_clients(dataset.train_client_indices, clients_per_round,
                               _sampling_rng(seed, t))
-    models = []
-    sizes = []
-    losses = []
-    for n in selected:
-        data = dataset.clients[n]
-        prev = server.prev_models.get(n, global_model) \
-            if client_config.variant == MOON else None
-        try:
-            trained, loss = client_update(n, global_model, data, client_config,
-                                          _client_rng(seed, t, n), prev_model=prev)
-        except Exception as err:
-            raise RuntimeError(f"round {t}, client {n}: {err}") from err
-        models.append(trained)
-        sizes.append(float(data[0].shape[0]))
-        losses.append(loss)
-        if client_config.variant == MOON:
-            server.prev_models[n] = trained
+    data = [dataset.clients[n] for n in selected]
+    sizes = [float(features.shape[0]) for features, _ in data]
+    moon = client_config.variant == MOON
+    prev = [server.prev_models.get(n, global_model) for n in selected] if moon else None
+    params, losses = client_update(global_model, data, client_config, seed, t, selected, prev)
+    if moon:
+        # Copies, so a kept model does not hold the whole round buffer.
+        for n, row in zip(selected, params):
+            server.prev_models[n] = global_model.with_params(row.copy())
 
     server.maybe_reset()
     # The aggregate is a fresh buffer, so the strategies below may rewrite
-    # its logit rows in place; the client models and the global model are
+    # its logit rows in place; the client rows and the global model are
     # never written.
-    new_model = fedavg_aggregate(models, sizes)
+    new_model = fedavg_aggregate(global_model, params, sizes)
     record = RoundRecordData(train_loss=float(np.mean(losses)),
                              selected_clients=selected)
 
@@ -482,8 +620,9 @@ def run_round(t: int, global_model: Model, dataset, server: ServerState,
                                                         server.opt)
     elif strategy.kind == SVM_MARGIN:
         lam = penalty_value(strategy, t, server.total_rounds)
+        models = [global_model.with_params(row) for row in params]
         class_embeddings = {
-            k: [(models[i].logit_matrix[k], sizes[i]) for i in range(len(models))]
+            k: [(m.logit_matrix[k], size) for m, size in zip(models, sizes)]
             for k in range(global_model.num_classes)
         }
         try:

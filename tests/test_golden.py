@@ -38,22 +38,22 @@ STRATEGIES = {
 
 # label -> (sha256 of rounds.csv without ms, sha256 of summary.csv)
 GOLDEN = {
-    "fedavg": ("f94b9309712ae384d35d21847ebd8cf22159165d8005a588b6ba435f13651895",
-               "17dd92bc8b604fb3b2fcd1a55edb31c4e32ba6cb0f515af03f702782bf061466"),
-    "fedadam": ("dc831f66a5a5f91156237d06442359e83b439a2bce56c4aff3779c0ea8086db1",
-                "e2e4269a57b499896912d0e7a54366396790b66723c66454aedcdd8b116fe43a"),
-    "fedams": ("5588d8fba56e72899953b36fd88ba0b6af2f64e15a9f2b7ffa2f2e0fd3a48ba1",
-               "bc205df3d880a7ef3f804540433265baf1f7478d462cb49dd6bf9a067df5f0c0"),
-    "fedaws": ("2db2094019f4758ae611032aad9c1f7c87cc3be93c80eb639813774edfa858d0",
+    "fedavg": ("167d1e1a613b5acd55cfec5ca742c0063bec530e5c125c30d1644b2ebac83abe",
+               "881f505212311482bbd7f62800c17144b1fcfb785db3b1b7292ab5f04dc66c10"),
+    "fedadam": ("bede97cf04694b5f6e32bba298b0e7ef7099b2ca7c90e0e288befb751a9b2b0f",
+                "e4299c27fe00eef622500458b16136b778dd684f56b7e23a7fa9765ae3b25e5f"),
+    "fedams": ("a4b16e8b5c81227cbf1ee9d328a10f2b75f1461144e66e648dc7b055dae2be1d",
+               "d5ca4a291bd57ff373f95caa2dbbe4b1e325279f995186f650862f82c387aa73"),
+    "fedaws": ("d2bc1e2363609aa73a753849732760ce2a0e0815233c073130c4b7083291db33",
                "fb02d0f8fdca7e820b510532265c5258e04f5b37f5cb153481f303342c2c47df"),
-    "fedprox": ("80167c807f3662e0a00b3ef7294194e68b1878d9907b952950d57a0d2010518d",
-                "17dd92bc8b604fb3b2fcd1a55edb31c4e32ba6cb0f515af03f702782bf061466"),
-    "fedprox_2epochs": ("012edcaf80a33fdf846749ad2e84d1a8d2952314e33d106ff3e3169a90aeeaec",
+    "fedprox": ("f6992ddae46df2b41b3122199380ff1cc47851886823152923ca8c18f326f1ab",
+                "881f505212311482bbd7f62800c17144b1fcfb785db3b1b7292ab5f04dc66c10"),
+    "fedprox_2epochs": ("66f6fe494fe8f183e9f250d869ff7a4ec126051c69f98720b650e86c4e7b48d7",
                         "ddc4dab1e1f279742e3592b2609974ebdb6d1a75fc4c85da0c8c43ace76d2212"),
-    "moon": ("f30f09c152507d15bb88c6e8820d47f10f4dd7143a284a33fe3f1ad3a7f685ee",
+    "moon": ("af3c8f203010d5f25eabaf28969d587184d8cfdbfafdc060b846ed3440870845",
              "23e796075417e0a5e31279ef168b4f90028d3c95e7fbaa1b2b47dd5fa26aecb9"),
-    "svm_margin": ("dd9c450112953b8f2aadbeb036e3aa1e512bbaf72a3ccad7a6785a7c17b0eae2",
-                   "de8800de1e0f36989058df791610125d0a57fffb34c131a795d515d095ce09cd"),
+    "svm_margin": ("e5dc1e190195d3dcde68a3b79378e54f8677036b41f3520b7749023797f367d0",
+                   "63e9823e7c0eb2dfa6177efe5c60b7e6d25a78aed4dde7817d9105f5cebe9a67"),
 }
 
 
@@ -93,7 +93,7 @@ TEXT_GOLDEN = {
         "stdout":
             "29613a8b0d333d40ab675b198f8577e69d8a4a05933b3637774cfcd52c81e8fb",
         "summary.csv":
-            "7aa66aad878217c6e0954bcbc9dc78ef964cdfa8b06136e06cf095ff4356e97c",
+            "9ecea0cec78b05f10d72230b82ff21e4beb9292fced4504e98aa5db168b7341a",
         "summary.txt":
             "29613a8b0d333d40ab675b198f8577e69d8a4a05933b3637774cfcd52c81e8fb",
     },
@@ -105,11 +105,11 @@ TEXT_GOLDEN = {
         "compare.txt":
             "c9f950e6d8e1b8cbe647de0d2deb3cd5a9e1743e08865db042074d09463cc358",
         "fedavg/summary.csv":
-            "5f45f8ad19797e1bedf50d562f4968330d525670a9f1121d61bf9d13fd11d3d2",
+            "dcc65f315ca7570cfb9c33bc39a76b8d491f7a9a12b23f469bb9c0a4888ef7e9",
         "fedavg/summary.txt":
             "d0497822df049766180069fe049e34d2e5e19436adda48cc2c5e655ff8d72dce",
         "fedadam/summary.csv":
-            "7aa66aad878217c6e0954bcbc9dc78ef964cdfa8b06136e06cf095ff4356e97c",
+            "9ecea0cec78b05f10d72230b82ff21e4beb9292fced4504e98aa5db168b7341a",
         "fedadam/summary.txt":
             "29613a8b0d333d40ab675b198f8577e69d8a4a05933b3637774cfcd52c81e8fb",
         "moon/summary.csv":
@@ -117,7 +117,7 @@ TEXT_GOLDEN = {
         "moon/summary.txt":
             "dbeab60620d59f5df151e8be46a241c0f091f2138bf8af8dc4c8028dec55343a",
         "svm_margin/summary.csv":
-            "24854000a6ea95c49d4dc8d9a07cd70d299317a510a57ce690c31c31b41d2812",
+            "14789e4e560684766d5e715529bbc2b825df9a55e616161d6e6ae2f3ddccfeeb",
         "svm_margin/summary.txt":
             "77eac5f2cef910da86d89a6a6a198fa9673b67fd17e2489f5e627959d30533d0",
     },
@@ -127,19 +127,19 @@ TEXT_GOLDEN = {
         "sweep.csv":
             "d13186a61a6c30b3fe665ad1c4133e9230bcf8596dd2d79a73f835374cbe4727",
         "d8_c4/summary.csv":
-            "9931b7e75c2dd724f15a9ac34471a077260f320f281d50346d266ee59cc9be0b",
+            "fff38c72495a33093d35a780d4bae76b98e9fa59284fd142e25ba3d5b4241b26",
         "d8_c4/summary.txt":
             "596df42588adf2a61d7e11e9361d46879c8996003adc777a59d32ddf422efad2",
         "d8_c8/summary.csv":
-            "f8d0fbfcb19518d0ca8e21be5090ceabfeeff4d06775577e42c25d22b3792efe",
+            "5982ab001c58d157b4a3111b18ab61dd166854b3cf37fa0b3671dca57d266d5a",
         "d8_c8/summary.txt":
             "101f27c2622695937f154a0ef5e862284edc0a513da071079c85f6d98d74a4e9",
         "d16_c4/summary.csv":
-            "826656bd7539f185b0ee47b027dee6542087864a88ed54553013bf74f150c7ec",
+            "217def3f46e3405a05964d1d99f6fe75dad412fb4858ca1b89899874448f8a81",
         "d16_c4/summary.txt":
             "911005feaaad11f14480383e5a21c44fc61794123bf7c30526b33181a67ec6e9",
         "d16_c8/summary.csv":
-            "24854000a6ea95c49d4dc8d9a07cd70d299317a510a57ce690c31c31b41d2812",
+            "14789e4e560684766d5e715529bbc2b825df9a55e616161d6e6ae2f3ddccfeeb",
         "d16_c8/summary.txt":
             "77eac5f2cef910da86d89a6a6a198fa9673b67fd17e2489f5e627959d30533d0",
     },

@@ -26,6 +26,7 @@ from fedsvm.harness import (
     run_experiment,
     sv_sweep,
 )
+from fedsvm.strategies import StrategyConfig
 
 BASE = """
 [dataset]
@@ -431,6 +432,13 @@ def test_unevaluated_sv_checkpoint_is_rejected(tmp_path, rounds, extra_run):
                         extra_run=extra_run)
     with pytest.raises(ConfigError, match="run.sv_checkpoint_round"):
         parse_config(path)
+
+
+def test_sv_checkpoint_rule_applies_only_to_svm_margin():
+    cfg = RunConfig(rounds=250, eval_stride=2)
+    assert cfg.strategy.name == "fedavg"
+    with pytest.raises(ConfigError, match="run.sv_checkpoint_round"):
+        RunConfig(rounds=250, eval_stride=2, strategy=StrategyConfig(name="svm_margin"))
 
 
 def test_sweep_requires_svm_margin(tmp_path):

@@ -65,6 +65,24 @@ def test_weighted_mean_matches_direct_formula():
     assert np.allclose(weighted_mean(xs, ws), expected, atol=1e-12)
 
 
+def test_weighted_mean_is_bitwise_the_anchored_formula():
+    # The in-place accumulation must give the bits of the two-temporary
+    # form it replaced, for rows of one array and for separate arrays.
+    rng = np.random.default_rng(2)
+    for trial in range(20):
+        rows = rng.standard_normal((int(rng.integers(1, 9)), 33)) * 10.0 ** rng.integers(-3, 4)
+        ws = rng.uniform(0.1, 50.0, size=len(rows))
+        total = 0.0
+        for w in ws:
+            total += w
+        acc = np.zeros_like(rows[0])
+        for x, w in zip(rows, ws):
+            acc += (w / total) * (x - rows[0])
+        expected = rows[0] + acc
+        assert np.array_equal(weighted_mean(rows, ws), expected), trial
+        assert np.array_equal(weighted_mean(list(rows), list(ws)), expected), trial
+
+
 def test_weighted_mean_rejects_bad_input():
     with pytest.raises(ValueError):
         weighted_mean([], [])

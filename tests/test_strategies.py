@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedsvm.data import SyntheticSpec, generate_synthetic
-from fedsvm.model import Batch, Model, init_model, loss_and_gradient
+from fedsvm.model import Batch, Model, encode, init_model, loss_and_gradient
 from fedsvm.numerics import finite_difference_gradient, relative_error
 from fedsvm.optim import adam_state, sgd_state, sgd_step
 from fedsvm.strategies import (
@@ -14,6 +14,7 @@ from fedsvm.strategies import (
     ClientConfig,
     ServerState,
     StrategyConfig,
+    batch_orders,
     client_update,
     fedavg_aggregate,
     fedaws_penalty,
@@ -46,50 +47,107 @@ def tiny_client_data(seed=0, n=12, input_dim=4, classes=3):
 # Client update
 # ---------------------------------------------------------------------------
 
+def cohort_data(seed=0, sizes=(12, 7, 20), input_dim=4, classes=3):
+    return [tiny_client_data(seed + i, n=n, input_dim=input_dim, classes=classes)
+            for i, n in enumerate(sizes)]
+
+
 def test_single_batch_vanilla_equals_manual_step():
     model = tiny_model(1)
     data = tiny_client_data(1, n=6)
     cfg = ClientConfig(epochs=1, batch_size=16, learning_rate=0.1)
-    trained, _ = client_update(0, model, data, cfg, np.random.default_rng(77))
+    trained, _ = client_update(model, [data], cfg, 77, 0, (0,))
 
-    order = np.random.default_rng(77).permutation(6)
+    order = batch_orders(77, 0, (0,), (6,), 0)
     batch = Batch(data[0][order], data[1][order])
     _, grads = loss_and_gradient(model, batch)
     manual = sgd_step(model.params, grads.params, sgd_state(0.1))
-    assert np.array_equal(trained.params, manual)
+    assert np.array_equal(trained[0], manual)
 
 
 def test_prox_mu_zero_is_bitwise_vanilla():
     model = tiny_model(2)
-    data = tiny_client_data(2, n=20)
+    data = cohort_data(2, sizes=(20, 9, 14))
     base = ClientConfig(epochs=3, batch_size=8, learning_rate=0.05)
     prox = ClientConfig(epochs=3, batch_size=8, learning_rate=0.05,
                         variant=PROX, prox_mu=0.0)
-    a, _ = client_update(0, model, data, base, np.random.default_rng(5))
-    b, _ = client_update(0, model, data, prox, np.random.default_rng(5))
-    assert np.array_equal(a.params, b.params)
+    a, loss_a = client_update(model, data, base, 5, 0, (0, 1, 2))
+    b, loss_b = client_update(model, data, prox, 5, 0, (0, 1, 2))
+    assert np.array_equal(a, b)
+    assert np.array_equal(loss_a, loss_b)
 
 
 def test_zero_learning_rate_returns_global_model():
     model = tiny_model(3)
-    trained, _ = client_update(0, model, tiny_client_data(3),
-                               ClientConfig(learning_rate=0.0),
-                               np.random.default_rng(0))
-    assert np.array_equal(trained.params, model.params)
+    trained, losses = client_update(model, cohort_data(3), ClientConfig(learning_rate=0.0),
+                                    0, 0, (0, 1, 2))
+    assert all(np.array_equal(row, model.params) for row in trained)
+    assert np.all(np.isfinite(losses))
 
 
 def test_client_update_leaves_global_untouched():
     model = tiny_model(4)
     before = model.params.copy()
-    client_update(0, model, tiny_client_data(4), ClientConfig(),
-                  np.random.default_rng(1))
+    client_update(model, cohort_data(4), ClientConfig(), 1, 0, (0, 1, 2))
     assert np.array_equal(model.params, before)
 
 
 def test_empty_dataset_rejected():
-    with pytest.raises(ValueError, match="empty"):
-        client_update(0, tiny_model(), (np.zeros((0, 4)), np.zeros(0, dtype=int)),
-                      ClientConfig(), np.random.default_rng(0))
+    data = cohort_data(0)
+    data[1] = (np.zeros((0, 4)), np.zeros(0, dtype=int))
+    with pytest.raises(ValueError, match="round 4, client 7: empty dataset"):
+        client_update(tiny_model(), data, ClientConfig(), 0, 4, (3, 7, 9))
+
+
+def reference_client_update(global_model, data, config, seed, t, clients, prev_models):
+    """The per-client training loop, one client and one batch at a time."""
+    rows = []
+    for i, (n, (features, labels)) in enumerate(zip(clients, data)):
+        model = global_model
+        opt = sgd_state(config.learning_rate)
+        for epoch in range(config.epochs):
+            order = batch_orders(seed, t, (n,), (labels.size,), epoch)
+            for start in range(0, labels.size, config.batch_size):
+                idx = order[start:start + config.batch_size]
+                batch = Batch(features[idx], labels[idx])
+                _, grads = loss_and_gradient(model, batch)
+                grad = grads.params
+                if config.variant == PROX:
+                    grad += config.prox_mu * (model.params - global_model.params)
+                if config.variant == MOON:
+                    _, moon = moon_loss_and_gradient(model, global_model, prev_models[i],
+                                                     batch.inputs, config.moon_temperature)
+                    grad += config.moon_coeff * moon.params
+                model = model.with_params(sgd_step(model.params, grad, opt))
+        rows.append(model.params)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("config", [
+    ClientConfig(learning_rate=0.3),
+    ClientConfig(epochs=2, batch_size=8, learning_rate=0.3, variant=PROX, prox_mu=0.5),
+    ClientConfig(epochs=2, batch_size=8, learning_rate=0.3, variant=MOON),
+], ids=["vanilla", "prox", "moon"])
+def test_cohort_rows_match_the_per_client_reference(config):
+    model = tiny_model(5)
+    data = cohort_data(5, sizes=(12, 7, 20, 3))
+    clients = (2, 5, 6, 11)
+    # Two clients meet a previous model of their own, two the global one.
+    prevs = [tiny_model(20), model, tiny_model(21), model]
+    trained, _ = client_update(model, data, config, 8, 3, clients, prevs)
+    expected = reference_client_update(model, data, config, 8, 3, clients, prevs)
+    assert np.abs(trained - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_batch_orders_depend_only_on_their_keys():
+    alone = batch_orders(4, 2, (5,), (9,), 1)
+    assert sorted(alone) == list(range(9))
+    together = batch_orders(4, 2, (1, 5, 8), (3, 9, 6), 1)
+    assert np.array_equal(together[3:12], alone)
+    assert sorted(together[:3]) == [0, 1, 2] and sorted(together[12:]) == list(range(6))
+    for keys in [(5, 2, (5,), 1), (4, 3, (5,), 1), (4, 2, (6,), 1), (4, 2, (5,), 0)]:
+        seed, t, clients, epoch = keys
+        assert not np.array_equal(batch_orders(seed, t, clients, (9,), epoch), alone), keys
 
 
 def test_prox_gradient_zero_at_global_model():
@@ -104,6 +162,25 @@ def test_moon_gradient_vanishes_when_prev_equals_global():
     loss, grads = moon_loss_and_gradient(model, model, model, x, 0.5)
     assert loss == pytest.approx(np.log(2.0), abs=1e-12)
     assert np.linalg.norm(grads.params) < 1e-12
+
+
+def test_moon_loss_matches_its_formula():
+    # -log softmax over (cos(z, z_g), cos(z, z_p)) / tau, with each
+    # embedding taken from its own model.
+    model, global_model, prev_model = tiny_model(9), tiny_model(7), tiny_model(8)
+    x = np.random.default_rng(11).standard_normal((6, model.input_dim))
+    z, z_g, z_p = (encode(m, x) for m in (model, global_model, prev_model))
+    keep = np.all([np.linalg.norm(e, axis=1) > 1e-3 for e in (z, z_g, z_p)], axis=0)
+    x, z, z_g, z_p = x[keep], z[keep], z_g[keep], z_p[keep]
+    assert len(x) >= 3  # the cosine has no direction at a zero embedding
+
+    def cos(u, v):
+        return np.sum(u * v, axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+
+    a, b = cos(z, z_g) / 0.5, cos(z, z_p) / 0.5
+    expected = np.mean(np.log(np.exp(a) + np.exp(b)) - a)
+    loss, _ = moon_loss_and_gradient(model, global_model, prev_model, x, 0.5)
+    assert loss == pytest.approx(expected, abs=1e-12)
 
 
 def test_moon_gradient_matches_finite_differences():
@@ -125,35 +202,32 @@ def test_moon_gradient_matches_finite_differences():
 # Aggregation primitives
 # ---------------------------------------------------------------------------
 
-def as_models(flats, template):
-    return [template.with_params(f) for f in flats]
-
-
 def test_fedavg_weighted_mean():
     template = Model([(np.zeros((1, 1)), np.zeros(1))], np.zeros((2, 1)))
     size = template.params.size
-    models = as_models([np.full(size, 2.0), np.full(size, 4.0)], template)
-    out = fedavg_aggregate(models, [1.0, 3.0])
+    rows = np.array([np.full(size, 2.0), np.full(size, 4.0)])
+    out = fedavg_aggregate(template, rows, [1.0, 3.0])
     assert np.all(out.params == 3.5)
 
 
 def test_fedavg_idempotent_on_identical_models():
     m = tiny_model(11)
-    out = fedavg_aggregate([m.copy(), m.copy(), m.copy()], [1.0, 2.0, 9.0])
+    out = fedavg_aggregate(m, np.array([m.params] * 3), [1.0, 2.0, 9.0])
     assert np.array_equal(out.params, m.params)
 
 
 def test_fedavg_single_model_identity():
     m = tiny_model(12)
-    out = fedavg_aggregate([m.copy()], [5.0])
+    out = fedavg_aggregate(m, m.params[None].copy(), [5.0])
     assert np.array_equal(out.params, m.params)
 
 
 def test_fedavg_rejects_empty_and_incompatible():
+    m = tiny_model(0)
     with pytest.raises(ValueError):
-        fedavg_aggregate([], [])
+        fedavg_aggregate(m, np.empty((0, m.params.size)), [])
     with pytest.raises(ValueError):
-        fedavg_aggregate([tiny_model(0), tiny_model(0, hidden=6)], [1.0, 1.0])
+        fedavg_aggregate(m, np.zeros((2, m.params.size + 1)), [1.0, 1.0])
 
 
 def test_pseudo_gradient_definition():
@@ -364,9 +438,8 @@ def test_run_round_single_client_fedavg_equals_client_model():
     cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.1)
     new_model, rec = run_round(0, model, dataset, make_server(), cfg, 1, seed=3)
 
-    rng = np.random.default_rng(np.random.SeedSequence([3, 2, 0, n]))
-    expected, _ = client_update(n, model, dataset.clients[n], cfg, rng)
-    assert np.array_equal(new_model.params, expected.params)
+    expected, _ = client_update(model, [dataset.clients[n]], cfg, 3, 0, (n,))
+    assert np.array_equal(new_model.params, expected[0])
     assert rec.selected_clients == (n,)
 
 
@@ -483,6 +556,46 @@ def test_moon_round_uses_previous_model_store():
     assert server.prev_models  # clients trained this run are remembered
 
 
+def test_moon_previous_models_do_not_hold_the_round_buffer(monkeypatch):
+    import fedsvm.strategies as strategies
+
+    buffers = []
+
+    def recording_client_update(*args, **kwargs):
+        params, losses = client_update(*args, **kwargs)
+        buffers.append(params)
+        return params, losses
+
+    monkeypatch.setattr(strategies, "client_update", recording_client_update)
+    dataset = small_dataset(5)
+    model = init_model(dataset.feature_dim, [5], 3, dataset.num_classes,
+                       np.random.default_rng(5))
+    cfg = ClientConfig(learning_rate=0.05, variant=MOON)
+    server = make_server()
+    run_round(0, model, dataset, server, cfg, 3, seed=19)
+    assert len(server.prev_models) == 3
+    for prev in server.prev_models.values():
+        assert not np.shares_memory(prev.params, buffers[0])
+        assert prev.params.base is None
+
+
+def test_empty_client_fails_naming_its_round_and_client():
+    from types import SimpleNamespace
+
+    dataset = small_dataset(8)
+    clients = list(dataset.clients)
+    clients[dataset.train_client_indices[1]] = (np.zeros((0, dataset.feature_dim)),
+                                                np.zeros(0, dtype=np.int64))
+    broken = SimpleNamespace(clients=clients,
+                             train_client_indices=dataset.train_client_indices)
+    model = init_model(dataset.feature_dim, [5], 3, dataset.num_classes,
+                       np.random.default_rng(8))
+    n = dataset.train_client_indices[1]
+    with pytest.raises(ValueError, match=f"round 6, client {n}: empty dataset"):
+        run_round(6, model, broken, make_server(), ClientConfig(),
+                  len(dataset.train_client_indices), seed=0)
+
+
 @pytest.mark.parametrize("name", ["fedaws", "svm_margin"])
 def test_round_rewrites_only_its_own_aggregate(name):
     # These strategies rewrite the logit rows of the averaged model in
@@ -498,11 +611,13 @@ def test_round_rewrites_only_its_own_aggregate(name):
     new_model, rec = run_round(0, model, dataset, server, cfg, 3, seed=23)
     assert np.array_equal(model.params, before)
     assert set(server.prev_models) == set(rec.selected_clients)
-    for n, trained in server.prev_models.items():
+    selected = rec.selected_clients
+    expected, _ = client_update(model, [dataset.clients[n] for n in selected], cfg, 23, 0,
+                                selected)
+    for n, row in zip(selected, expected):
+        trained = server.prev_models[n]
         assert not np.shares_memory(trained.params, new_model.params)
-        rng = np.random.default_rng(np.random.SeedSequence([23, 2, 0, n]))
-        expected, _ = client_update(n, model, dataset.clients[n], cfg, rng)
-        assert np.array_equal(trained.params, expected.params)
+        assert np.array_equal(trained.params, row)
 
 
 def test_reset_server_state_restarts_the_server_optimizer(monkeypatch):
