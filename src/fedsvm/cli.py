@@ -14,14 +14,8 @@ import logging
 import sys
 from pathlib import Path
 
-from .harness import (
-    ConfigError,
-    compare_strategies,
-    parse_config,
-    run_experiment,
-    sv_sweep,
-    text_table,
-)
+from .config import ConfigError, parse_config
+from .harness import compare_strategies, run_experiment, sv_sweep, text_table
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -14,9 +14,8 @@ from typing import BinaryIO
 
 import numpy as np
 
+from .config import SyntheticSpec, heldout_count
 from .numerics import Tensor
-
-HELDOUT_FRACTION = 0.1
 
 ClientData = tuple[Tensor, np.ndarray]  # (features n x P, labels n)
 
@@ -52,33 +51,10 @@ class FederatedDataset:
         return len(self.clients)
 
 
-@dataclass
-class SyntheticSpec:
-    num_clients: int = 40
-    num_classes: int = 8
-    feature_dim: int = 32
-    samples_per_client_mean: int = 60
-    samples_per_client_spread: int = 20
-    dirichlet_alpha: float = 0.1
-    class_separation: float = 3.0
-    noise_sigma: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_clients < 2 or self.num_classes < 2:
-            raise ValueError("need at least 2 clients and 2 classes")
-        if self.feature_dim < 1 or self.samples_per_client_mean < 1:
-            raise ValueError("feature_dim and samples_per_client_mean must be positive")
-        if self.samples_per_client_spread < 0:
-            raise ValueError("samples_per_client_spread must be >= 0")
-        if self.dirichlet_alpha <= 0 or self.class_separation <= 0 or self.noise_sigma <= 0:
-            raise ValueError("dirichlet_alpha, class_separation, noise_sigma must be positive")
-
-
 def _split_clients(num_clients: int, rng: np.random.Generator):
     """Client-level 90/10 train/held-out split by seeded shuffle."""
     order = rng.permutation(num_clients)
-    n_heldout = max(1, int(round(HELDOUT_FRACTION * num_clients)))
+    n_heldout = heldout_count(num_clients)
     heldout = tuple(sorted(int(i) for i in order[:n_heldout]))
     train = tuple(sorted(int(i) for i in order[n_heldout:]))
     return train, heldout

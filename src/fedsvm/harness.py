@@ -1,48 +1,25 @@
-"""Experiment harness: INI-style configs, multi-seed runs streamed to
-CSV, cross-strategy comparison tables, and the embedding-size /
-participation sweep.
-
-Config files use one section per subsystem ([dataset], [model],
-[client], [strategy], [run]). Each section is one dataclass whose
-fields are its keys, types and defaults; unknown sections or keys are
-hard errors so a typo in a learning-rate key can never silently change
-a comparison. All CSV columns and orders are fixed.
+"""Experiment harness: multi-seed runs streamed to CSV, cross-strategy
+comparison tables, and the embedding-size / participation sweep, all
+driven by a checked ``config.RunConfig``. All CSV columns and orders are
+fixed.
 """
 
 from __future__ import annotations
 
-import configparser
 import csv
 import dataclasses
 import logging
 import time
-import types
-import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    FederatedDataset,
-    HELDOUT_FRACTION,
-    SyntheticSpec,
-    generate_synthetic,
-    load_idx,
-    partition_by_client,
-)
+from .config import SVM_MARGIN, ConfigError, RunConfig
+from .data import FederatedDataset, generate_synthetic, load_idx, partition_by_client
 from .metrics import accuracy, confusion, format_rounds, macro_f1, mcc, rounds_to_target
 from .model import init_model
-from .strategies import (
-    MOON,
-    PROX,
-    SGD,
-    SVM_MARGIN,
-    ClientConfig,
-    ServerState,
-    StrategyConfig,
-    run_round,
-)
+from .strategies import ServerState, run_round
 from .svm import format_diagnostics
 
 log = logging.getLogger(__name__)
@@ -54,194 +31,6 @@ SUMMARY_CSV_COLUMNS = ["seed", "rounds_to_target", "final_accuracy", "final_f1",
 COMPARE_CSV_COLUMNS = ["strategy", "rounds_mean", "rounds_std", "accuracy_mean",
                        "accuracy_std", "f1_mean", "f1_std", "mcc_mean", "mcc_std"]
 SWEEP_CSV_COLUMNS = ["d", "C", "round", "sv_count", "f1"]
-
-class ConfigError(Exception):
-    """Invalid configuration; maps to CLI exit code 1."""
-
-
-@dataclass
-class DatasetConfig:
-    """[dataset]; the synthetic generator's keys fill ``synthetic``."""
-
-    kind: str = "synthetic"
-    synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
-    images: str = ""
-    labels: str = ""
-    partition_clients: int = 40
-    partition_alpha: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in ("synthetic", "idx"):
-            raise ConfigError(f"dataset.kind: expected synthetic or idx, got {self.kind!r}")
-        if self.kind == "idx" and not (self.images and self.labels):
-            raise ConfigError("dataset.images and dataset.labels are required for idx datasets")
-
-
-@dataclass
-class ModelConfig:
-    """[model]"""
-
-    embedding_dim: int = 64
-    hidden_width: int = 64
-
-    def __post_init__(self):
-        if self.embedding_dim < 1 or self.hidden_width < 1:
-            raise ConfigError("model.embedding_dim and model.hidden_width must be positive")
-
-
-@dataclass
-class RunConfig:
-    """One field per section dataclass; the scalar fields are [run]. Each
-    section checks its own values when it is built, ``replace`` included;
-    this one also checks the rules that span sections."""
-
-    dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    model: ModelConfig = field(default_factory=ModelConfig)
-    client: ClientConfig = field(default_factory=ClientConfig)
-    strategy: StrategyConfig = field(default_factory=StrategyConfig)
-    rounds: int = 100
-    clients_per_round: int = 8
-    target_accuracy: float = 0.8
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    output_dir: str = "out"
-    eval_stride: int = 1
-    sv_checkpoint_round: int | None = None
-    label: str = ""
-
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise ConfigError("run.rounds must be >= 1")
-        if not self.seeds:
-            raise ConfigError("run.seeds must be nonempty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"run.seeds must not repeat a seed, got {self.seeds}")
-        if not 0.0 < self.target_accuracy < 1.0:
-            raise ConfigError("run.target_accuracy must lie in (0, 1)")
-        if self.eval_stride < 1:
-            raise ConfigError("run.eval_stride must be >= 1")
-        train_clients = self.num_clients - max(1, int(round(HELDOUT_FRACTION * self.num_clients)))
-        if self.clients_per_round > train_clients:
-            key = "clients" if self.dataset.kind == "synthetic" else "partition_clients"
-            raise ConfigError(
-                f"run.clients_per_round = {self.clients_per_round} exceeds the "
-                f"{train_clients} train clients implied by dataset.{key} = {self.num_clients}")
-        if self.clients_per_round < 1:
-            raise ConfigError("run.clients_per_round must be >= 1")
-        # Only a sweep over svm_margin reads the checkpoint round.
-        checkpoint = self.sv_checkpoint
-        if self.strategy.kind == SVM_MARGIN and (
-                not 1 <= checkpoint <= self.rounds or not self.evaluates(checkpoint - 1)):
-            raise ConfigError(
-                f"run.sv_checkpoint_round = {checkpoint} is not an evaluated round of "
-                f"run.rounds = {self.rounds} at run.eval_stride = {self.eval_stride}")
-
-    @property
-    def num_clients(self) -> int:
-        if self.dataset.kind == "synthetic":
-            return self.dataset.synthetic.num_clients
-        return self.dataset.partition_clients
-
-    @property
-    def sv_checkpoint(self) -> int:
-        """The round whose support-vector counts a sweep reports."""
-        if self.sv_checkpoint_round is None:
-            return min(self.rounds, 200)
-        return self.sv_checkpoint_round
-
-    def evaluates(self, t: int) -> bool:
-        """Whether the 0-based round ``t`` is evaluated and written."""
-        return t % self.eval_stride == 0 or t == self.rounds - 1
-
-    def algorithm_name(self) -> str:
-        if self.label:
-            return self.label
-        if self.client.variant == PROX:
-            return "fedprox"
-        if self.client.variant == MOON:
-            return "moon"
-        if self.strategy.name == "fedopt" and self.strategy.server_optimizer == SGD:
-            return "fedopt_sgd"
-        return self.strategy.name
-
-
-# ---------------------------------------------------------------------------
-# Config parsing
-# ---------------------------------------------------------------------------
-
-# INI section -> the dataclasses whose scalar fields are its keys.
-_SECTIONS = {
-    "dataset": (DatasetConfig, SyntheticSpec),
-    "model": (ModelConfig,),
-    "client": (ClientConfig,),
-    "strategy": (StrategyConfig,),
-    "run": (RunConfig,),
-}
-# SyntheticSpec fields under another INI key; the generation seed is the
-# run seed and has no key.
-_SYNTHETIC_KEYS = {"num_clients": "clients", "num_classes": "classes", "seed": None}
-
-
-def _section_keys(section: str) -> dict[str, tuple[type, str, object]]:
-    """INI key -> (dataclass, field name, field type) for one section."""
-    keys = {}
-    for cls in _SECTIONS[section]:
-        hints = typing.get_type_hints(cls)
-        for f in dataclasses.fields(cls):
-            key = _SYNTHETIC_KEYS.get(f.name, f.name) if cls is SyntheticSpec else f.name
-            if key and not dataclasses.is_dataclass(hints[f.name]):
-                keys[key] = (cls, f.name, hints[f.name])
-    return keys
-
-
-def _typed(section: str, key: str, raw: str, kind):
-    if typing.get_origin(kind) is types.UnionType:  # optional: T | None
-        kind = typing.get_args(kind)[0]
-    try:
-        if kind is bool:
-            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-        if kind == tuple[int, ...]:
-            return tuple(int(tok) for tok in raw.replace(",", " ").split())
-        return kind(raw)
-    except (KeyError, ValueError) as err:
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {kind.__name__}") from err
-
-
-def parse_config(path) -> RunConfig:
-    """Parse a config file into checked section dataclasses; absent keys
-    take their defaults, which follow the reference protocol."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read(path)
-    except configparser.Error as err:
-        raise ConfigError(f"{path}: {err}") from err
-
-    values = {cls: {} for classes in _SECTIONS.values() for cls in classes}
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown section [{section}]")
-        keys = _section_keys(section)
-        for key, raw in parser.items(section):
-            if key not in keys:
-                raise ConfigError(f"{section}.{key}: unknown key")
-            cls, name, kind = keys[key]
-            values[cls][name] = _typed(section, key, raw, kind)
-
-    def build(section, cls, **nested):
-        try:
-            return cls(**values[cls], **nested)
-        except ValueError as err:
-            raise ConfigError(f"{section}: {err}") from err
-
-    return build("run", RunConfig,
-                 dataset=build("dataset", DatasetConfig,
-                               synthetic=build("dataset", SyntheticSpec)),
-                 model=build("model", ModelConfig),
-                 client=build("client", ClientConfig),
-                 strategy=build("strategy", StrategyConfig))
-
 
 # ---------------------------------------------------------------------------
 # Experiment execution
@@ -324,6 +113,7 @@ def _run_seed(cfg: RunConfig, seed: int, writer, fh, diag_path: Path | None) -> 
         if diag_path is not None and rec.svm is not None:
             with open(diag_path, "a") as dfh:
                 dfh.write(f"# seed {seed} round {t + 1}\n{format_diagnostics(rec.svm)}\n")
+        del rec  # its SVM views the round's client buffer: free it before the next round
 
     crossing = rounds_to_target([row.accuracy for row in rows], cfg.target_accuracy)
     reached = None if crossing is None else rows[crossing - 1].round

@@ -8,7 +8,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,31 +32,6 @@ def check_finite(arr: Tensor, what: str = "tensor") -> Tensor:
 def check_same_shape(a: Tensor, b: Tensor, what: str = "operands") -> None:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch in {what}: {a.shape} vs {b.shape}")
-
-
-def finite_difference_gradient(f: Callable[[Tensor], float], x: Tensor,
-                               h: float = 1e-5) -> Tensor:
-    """Central-difference gradient of a scalar function, one coordinate at a time.
-
-    Used as the independent oracle against every hand-derived gradient in
-    the package.
-    """
-    if h <= 0:
-        raise ValueError("step size h must be positive")
-    x = as_tensor(x)
-    flat = x.ravel()
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        f_plus = float(f(x))
-        flat[i] = orig - h
-        f_minus = float(f(x))
-        flat[i] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise ValueError(f"non-finite function value at coordinate {i}")
-        grad[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad.reshape(x.shape)
 
 
 def weighted_mean(arrays: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
@@ -90,10 +65,3 @@ def weighted_mean(arrays: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
         acc += scratch
     acc += anchor
     return acc
-
-
-def relative_error(approx: Tensor, exact: Tensor) -> float:
-    """L2 relative error with a unit floor on the denominator scale."""
-    num = float(np.linalg.norm(np.asarray(approx) - np.asarray(exact)))
-    den = max(float(np.linalg.norm(exact)), 1e-12)
-    return num / den

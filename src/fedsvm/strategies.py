@@ -7,7 +7,7 @@ regularization on the class embeddings).
 A round samples clients, trains each on its own data starting from the
 global model, then applies the configured server strategy. The engine
 runs from the [client] and [strategy] config sections themselves,
-``ClientConfig`` and ``StrategyConfig``. Strategy state (server
+``ClientConfig`` and ``StrategyConfig`` of ``config``. Strategy state (server
 optimizer moments, per-client previous models for the contrastive
 variant) lives in a ``ServerState`` owned by the caller.
 """
@@ -20,6 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import (FEDAVG, FEDAWS, FEDOPT, INCREASING, MOON, PROX, SVM_MARGIN,
+                     ClientConfig, StrategyConfig)
 from .model import (
     Batch,
     Model,
@@ -31,7 +33,6 @@ from .model import (
 )
 from .numerics import Tensor, check_finite, weighted_mean
 from .optim import (
-    ADAM,
     AMSGRAD,
     SGD,
     OptimizerState,
@@ -43,102 +44,6 @@ from .optim import (
 from .svm import OvoSvm, fit_ovo, hyperplane, support_vectors_of_class
 
 log = logging.getLogger(__name__)
-
-VANILLA = "vanilla"
-PROX = "prox"
-MOON = "moon"
-
-FEDAVG = "fedavg"
-FEDOPT = "fedopt"
-FEDAWS = "fedaws"
-SVM_MARGIN = "svm_margin"
-
-DECREASING = "decreasing"
-INCREASING = "increasing"
-
-
-@dataclass
-class ClientConfig:
-    epochs: int = 1
-    batch_size: int = 64
-    learning_rate: float = 0.1
-    variant: str = VANILLA
-    prox_mu: float = 0.01
-    moon_coeff: float = 1.0
-    moon_temperature: float = 0.5
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
-        if self.variant not in (VANILLA, PROX, MOON):
-            raise ValueError(f"unknown client variant {self.variant!r}")
-        if self.variant == PROX and self.prox_mu < 0:
-            raise ValueError("prox_mu must be nonnegative")
-        if self.variant == MOON and (self.moon_coeff < 0 or self.moon_temperature <= 0):
-            raise ValueError("moon_coeff must be >= 0 and moon_temperature > 0")
-
-
-# strategy name -> (server strategy kind, server optimizer, default server
-# rate); a None optimizer means StrategyConfig.server_optimizer.
-_STRATEGIES = {
-    "fedavg": (FEDAVG, None, 1e-2),
-    "fedadam": (FEDOPT, ADAM, 1e-3),
-    "fedams": (FEDOPT, AMSGRAD, 1e-3),
-    "fedopt": (FEDOPT, None, 1e-3),
-    "fedaws": (FEDAWS, None, 1e-2),
-    "svm_margin": (SVM_MARGIN, None, 1e-2),
-}
-
-
-@dataclass
-class StrategyConfig:
-    """[strategy]: the server side of a run. ``name`` resolves through
-    ``_STRATEGIES`` to the ``kind``, ``optimizer`` and ``learning_rate``
-    the round engine reads; no ``server_learning_rate`` means the name's
-    default rate. The SVM slack penalty decays linearly from
-    ``svm_penalty_initial`` to ``svm_penalty_floor`` over the run, or
-    rises along the time reversal of that schedule."""
-
-    name: str = "fedavg"
-    server_optimizer: str = ADAM
-    server_learning_rate: float | None = None
-    svm_penalty_initial: float = 1.0
-    svm_penalty_floor: float = 0.01
-    svm_penalty_schedule: str = DECREASING
-    reg_steps: int = 1
-    reset_server_state: bool = False
-    svm_diagnostics: bool = False
-
-    def __post_init__(self):
-        if self.name not in _STRATEGIES:
-            raise ValueError(f"name must be one of {tuple(_STRATEGIES)}, got {self.name!r}")
-        if self.server_optimizer not in (SGD, ADAM, AMSGRAD):
-            raise ValueError(f"server_optimizer must be one of {(SGD, ADAM, AMSGRAD)}, "
-                             f"got {self.server_optimizer!r}")
-        if self.kind != FEDAVG and self.learning_rate <= 0:
-            raise ValueError("server_learning_rate must be positive")
-        if self.svm_penalty_initial <= 0 or self.svm_penalty_floor <= 0:
-            raise ValueError("svm_penalty_initial and svm_penalty_floor must be positive")
-        if self.svm_penalty_schedule not in (DECREASING, INCREASING):
-            raise ValueError("svm_penalty_schedule must be decreasing or increasing")
-        if self.reg_steps < 0:
-            raise ValueError("reg_steps must be >= 0")
-
-    @property
-    def kind(self) -> str:
-        return _STRATEGIES[self.name][0]
-
-    @property
-    def optimizer(self) -> str:
-        return _STRATEGIES[self.name][1] or self.server_optimizer
-
-    @property
-    def learning_rate(self) -> float:
-        if self.server_learning_rate is None:
-            return _STRATEGIES[self.name][2]
-        return self.server_learning_rate
 
 
 def penalty_value(strategy: StrategyConfig, t: int, total_rounds: int) -> float:

@@ -9,7 +9,6 @@ from .solver import (
     format_diagnostics,
     hyperplane,
     support_vectors_of_class,
-    verify_logit_bound,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "format_diagnostics",
     "hyperplane",
     "support_vectors_of_class",
-    "verify_logit_bound",
 ]

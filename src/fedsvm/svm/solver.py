@@ -1,5 +1,4 @@
-"""Soft-margin linear SVM, one-vs-one multiclass wrapper, and the
-projected logit-gap diagnostic.
+"""Soft-margin linear SVM and its one-vs-one multiclass wrapper.
 
 The binary problem minimizes ``0.5 * ||w||^2 + lam * sum(slack)`` subject
 to ``y_i (w.x_i + b) >= 1 - slack_i``. It is solved in the dual by
@@ -32,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..numerics import Tensor, as_tensor, check_finite, weighted_mean
+from ..numerics import Tensor, as_tensor, check_finite
 from . import backend
 
 # Relative to the largest dual coefficient of a fit; see the module
@@ -269,52 +268,3 @@ def format_diagnostics(svm: OvoSvm) -> str:
             f"({k:>3},{kp:>3})  {len(model.support_indices):>4}"
             f"   {model.duality_gap:>11.3e}  {np.linalg.norm(model.normal):>10.4f}")
     return "\n".join(lines)
-
-
-def verify_logit_bound(svm: BinarySvmModel, pos_embeddings, neg_embeddings,
-                       weights, test_embedding: Tensor,
-                       tolerance: float = 1e-9) -> tuple[float, float, bool]:
-    """Check that the projected logit gap of a well-classified test point
-    is at least its closed-form lower bound.
-
-    ``svm`` must be the model fitted on exactly ``pos_embeddings`` (label
-    +1) and ``neg_embeddings`` (label -1). The bound's simplifying
-    assumptions are enforced, never silently ignored: each class
-    contributes the same number of embeddings, every embedding is a
-    support vector, all dataset weights are equal, every slack is at most
-    1, and the test point satisfies ``h.x >= 1 - slack*`` with
-    ``slack* <= 1``.
-    """
-    pos = np.atleast_2d(as_tensor(pos_embeddings))
-    neg = np.atleast_2d(as_tensor(neg_embeddings))
-    w = np.asarray(weights, dtype=np.float64)
-    x_star = as_tensor(test_embedding)
-    n = pos.shape[0]
-    if neg.shape[0] != n:
-        raise ValueError("assumption violated: unequal embedding counts per class")
-    if w.shape != (2 * n,):
-        raise ValueError("weights must cover all 2N embeddings")
-    if not np.all(w == w[0]):
-        raise ValueError("assumption violated: dataset sizes are not all equal")
-    if len(svm.support_indices) != 2 * n:
-        raise ValueError("assumption violated: not every embedding is a support vector")
-
-    h = svm.normal
-    h_sq = float(h @ h)
-    if h_sq <= 0.0:
-        raise ValueError("zero-norm hyperplane normal")
-    slack_pos = np.maximum(0.0, 1.0 - (pos @ h + svm.bias))
-    slack_neg = np.maximum(0.0, 1.0 + (neg @ h + svm.bias))
-    if np.any(slack_pos > 1.0 + 1e-12) or np.any(slack_neg > 1.0 + 1e-12):
-        raise ValueError("assumption violated: some slack exceeds 1")
-    proj_star = float(h @ x_star)
-    if proj_star < 0.0:
-        raise ValueError("assumption violated: test embedding is not a good sample")
-    slack_star = max(0.0, 1.0 - proj_star)
-
-    agg_pos = weighted_mean(list(pos), list(w[:n]))
-    agg_neg = weighted_mean(list(neg), list(w[n:]))
-    lhs = float((agg_pos - agg_neg) @ h) * proj_star / h_sq
-    total_slack = float(np.sum(slack_pos) + np.sum(slack_neg))
-    rhs = (2.0 * n - total_slack) * (1.0 - slack_star) / (n * h_sq)
-    return lhs, rhs, bool(lhs >= rhs - tolerance)

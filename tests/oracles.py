@@ -1,0 +1,92 @@
+"""Test oracles: a central-difference gradient, the relative error the
+gradient checks compare with, and the closed-form lower bound on the
+projected logit gap of a binary SVM. Only the test suite imports this.
+"""
+
+from typing import Callable
+
+import numpy as np
+
+from fedsvm.numerics import Tensor, as_tensor, weighted_mean
+from fedsvm.svm import BinarySvmModel
+
+
+def finite_difference_gradient(f: Callable[[Tensor], float], x: Tensor,
+                               h: float = 1e-5) -> Tensor:
+    """Central-difference gradient of a scalar function, one coordinate at a time.
+
+    Used as the independent oracle against every hand-derived gradient in
+    the package.
+    """
+    if h <= 0:
+        raise ValueError("step size h must be positive")
+    x = as_tensor(x)
+    flat = x.ravel()
+    grad = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        f_plus = float(f(x))
+        flat[i] = orig - h
+        f_minus = float(f(x))
+        flat[i] = orig
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            raise ValueError(f"non-finite function value at coordinate {i}")
+        grad[i] = (f_plus - f_minus) / (2.0 * h)
+    return grad.reshape(x.shape)
+
+
+def relative_error(approx: Tensor, exact: Tensor) -> float:
+    """L2 relative error with a unit floor on the denominator scale."""
+    num = float(np.linalg.norm(np.asarray(approx) - np.asarray(exact)))
+    den = max(float(np.linalg.norm(exact)), 1e-12)
+    return num / den
+
+
+def verify_logit_bound(svm: BinarySvmModel, pos_embeddings, neg_embeddings,
+                       weights, test_embedding: Tensor,
+                       tolerance: float = 1e-9) -> tuple[float, float, bool]:
+    """Check that the projected logit gap of a well-classified test point
+    is at least its closed-form lower bound.
+
+    ``svm`` must be the model fitted on exactly ``pos_embeddings`` (label
+    +1) and ``neg_embeddings`` (label -1). The bound's simplifying
+    assumptions are enforced, never silently ignored: each class
+    contributes the same number of embeddings, every embedding is a
+    support vector, all dataset weights are equal, every slack is at most
+    1, and the test point satisfies ``h.x >= 1 - slack*`` with
+    ``slack* <= 1``.
+    """
+    pos = np.atleast_2d(as_tensor(pos_embeddings))
+    neg = np.atleast_2d(as_tensor(neg_embeddings))
+    w = np.asarray(weights, dtype=np.float64)
+    x_star = as_tensor(test_embedding)
+    n = pos.shape[0]
+    if neg.shape[0] != n:
+        raise ValueError("assumption violated: unequal embedding counts per class")
+    if w.shape != (2 * n,):
+        raise ValueError("weights must cover all 2N embeddings")
+    if not np.all(w == w[0]):
+        raise ValueError("assumption violated: dataset sizes are not all equal")
+    if len(svm.support_indices) != 2 * n:
+        raise ValueError("assumption violated: not every embedding is a support vector")
+
+    h = svm.normal
+    h_sq = float(h @ h)
+    if h_sq <= 0.0:
+        raise ValueError("zero-norm hyperplane normal")
+    slack_pos = np.maximum(0.0, 1.0 - (pos @ h + svm.bias))
+    slack_neg = np.maximum(0.0, 1.0 + (neg @ h + svm.bias))
+    if np.any(slack_pos > 1.0 + 1e-12) or np.any(slack_neg > 1.0 + 1e-12):
+        raise ValueError("assumption violated: some slack exceeds 1")
+    proj_star = float(h @ x_star)
+    if proj_star < 0.0:
+        raise ValueError("assumption violated: test embedding is not a good sample")
+    slack_star = max(0.0, 1.0 - proj_star)
+
+    agg_pos = weighted_mean(list(pos), list(w[:n]))
+    agg_neg = weighted_mean(list(neg), list(w[n:]))
+    lhs = float((agg_pos - agg_neg) @ h) * proj_star / h_sq
+    total_slack = float(np.sum(slack_pos) + np.sum(slack_neg))
+    rhs = (2.0 * n - total_slack) * (1.0 - slack_star) / (n * h_sq)
+    return lhs, rhs, bool(lhs >= rhs - tolerance)

@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedsvm.harness import compare_strategies, parse_config, run_experiment, sv_sweep
+from fedsvm.config import PROX, ClientConfig, StrategyConfig, SyntheticSpec, parse_config
+from fedsvm.data import generate_synthetic
+from fedsvm.harness import compare_strategies, run_experiment, sv_sweep
 from fedsvm.metrics import accuracy, macro_f1, mcc
 from fedsvm.model import (
     Batch,
@@ -23,21 +25,17 @@ from fedsvm.model import (
     init_model,
     loss_and_gradient,
 )
-from fedsvm.numerics import finite_difference_gradient, relative_error
+from fedsvm.optim import SGD
 from fedsvm.strategies import (
-    PROX,
-    SGD,
-    ClientConfig,
     ServerState,
-    StrategyConfig,
     fedaws_penalty,
     moon_loss_and_gradient,
     run_round,
     spreadout_loss,
 )
-from fedsvm.data import SyntheticSpec, generate_synthetic
-from fedsvm.svm import SvmProblem, fit_binary, verify_logit_bound
+from fedsvm.svm import SvmProblem, fit_binary
 
+from oracles import finite_difference_gradient, relative_error, verify_logit_bound
 from qp_oracle import primal_oracle
 
 

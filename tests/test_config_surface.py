@@ -4,18 +4,19 @@ parses to. A change to the config code must pass this unchanged."""
 
 import pytest
 
-from fedsvm.data import SyntheticSpec
-from fedsvm.harness import ConfigError, parse_config, run_experiment
-from fedsvm.strategies import (
-    ADAM,
-    AMSGRAD,
+from fedsvm.config import (
     DECREASING,
     FEDAVG,
     FEDAWS,
     FEDOPT,
     SVM_MARGIN,
     ClientConfig,
+    ConfigError,
+    SyntheticSpec,
+    parse_config,
 )
+from fedsvm.harness import run_experiment
+from fedsvm.optim import ADAM, AMSGRAD
 
 # section -> {key: a valid value}
 ACCEPTED = {

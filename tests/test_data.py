@@ -3,9 +3,9 @@ import struct
 import numpy as np
 import pytest
 
+from fedsvm.config import SyntheticSpec
 from fedsvm.data import (
     FederatedDataset,
-    SyntheticSpec,
     generate_synthetic,
     heldout_pool,
     load_idx,

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from fedsvm.cli import main as cli_main
-from fedsvm.harness import parse_config, run_experiment
+from fedsvm.config import parse_config
+from fedsvm.harness import run_experiment
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,20 +14,24 @@ import pytest
 
 import fedsvm
 from fedsvm.cli import main as cli_main
-from fedsvm.harness import (
-    COMPARE_CSV_COLUMNS,
+from fedsvm.config import (
     ConfigError,
     DatasetConfig,
     ModelConfig,
+    RunConfig,
+    StrategyConfig,
+    SyntheticSpec,
+    parse_config,
+)
+from fedsvm.data import generate_synthetic
+from fedsvm.harness import (
+    COMPARE_CSV_COLUMNS,
     ROUNDS_CSV_COLUMNS,
     SWEEP_CSV_COLUMNS,
-    RunConfig,
     compare_strategies,
-    parse_config,
     run_experiment,
     sv_sweep,
 )
-from fedsvm.strategies import StrategyConfig
 
 BASE = """
 [dataset]
@@ -178,6 +183,49 @@ def test_dataset_and_model_built_in_code_are_checked():
         replace(ModelConfig(), embedding_dim=0)
 
 
+@pytest.mark.parametrize("section,key,change", [
+    ("client", "epochs", lambda cfg: replace(cfg.client, epochs=0)),
+    ("strategy", "reg_steps", lambda cfg: replace(cfg.strategy, reg_steps=-1)),
+    ("dataset", "clients", lambda cfg: replace(cfg.dataset.synthetic, num_clients=1)),
+    ("model", "embedding_dim", lambda cfg: replace(cfg.model, embedding_dim=0)),
+    ("run", "rounds", lambda cfg: replace(cfg, rounds=0)),
+])
+def test_every_section_checks_itself_with_one_error_type(section, key, change):
+    # A section changed in code fails as a parsed one does: a ConfigError
+    # that names the offending INI key.
+    with pytest.raises(ConfigError, match=rf"\b{section}\.{key}\b"):
+        change(RunConfig())
+
+
+def test_largest_accepted_participation_is_the_train_client_count():
+    # RunConfig and the data split count the held-out clients alike.
+    for n in range(2, 61):
+        spec = SyntheticSpec(num_clients=n, num_classes=2, feature_dim=1,
+                             samples_per_client_mean=2, samples_per_client_spread=0)
+        dataset = DatasetConfig(synthetic=spec)
+        accepted = []
+        for c in range(1, n + 1):
+            try:
+                RunConfig(dataset=dataset, clients_per_round=c)
+            except ConfigError:
+                continue
+            accepted.append(c)
+        assert max(accepted) == len(generate_synthetic(spec).train_client_indices), n
+
+
+def test_config_module_imports_no_engine_module():
+    # The config is a leaf of the package: data, the engine and the
+    # harness import it, never the reverse.
+    src = str(Path(fedsvm.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, fedsvm.config; print(' '.join(sorted(sys.modules)))"
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout.split())
+    assert "fedsvm.config" in loaded
+    assert not loaded & {"fedsvm.strategies", "fedsvm.harness", "fedsvm.model", "fedsvm.data"}
+
+
 # ---------------------------------------------------------------------------
 # run_experiment
 # ---------------------------------------------------------------------------
@@ -240,6 +288,28 @@ def test_failed_seed_does_not_stop_others(tmp_path, monkeypatch):
     result = run_experiment(cfg, tmp_path / "flaky")
     assert [s for s, _ in result.failed_seeds] == [0]
     assert [r.seed for r in result.seed_results] == [1]
+
+
+def test_round_record_is_released_before_the_next_round(tmp_path, monkeypatch):
+    # A round's SVM keeps views into that round's (C, P) client buffer;
+    # no buffer may still be alive when the next round trains its clients.
+    import fedsvm.strategies as strategies
+
+    original = strategies.client_update
+    buffers, alive = [], []
+
+    def tracked(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in buffers))
+        params, losses = original(*args, **kwargs)
+        buffers.append(weakref.ref(params))
+        return params, losses
+
+    monkeypatch.setattr(strategies, "client_update", tracked)
+    cfg = parse_config(Path(__file__).resolve().parent.parent / "configs"
+                       / "synthetic_svm_margin.ini")
+    result = run_experiment(replace(cfg, rounds=5, seeds=(0,)), tmp_path / "out")
+    assert not result.failed_seeds
+    assert alive == [0, 0, 0, 0, 0]
 
 
 def growing_embeddings_run(tmp_path, embedding_dim):
@@ -503,7 +573,7 @@ def test_cli_invalid_strategy_value_names_its_key(tmp_path, capsys, name, key, v
     path = write_config(tmp_path, strategy=strategy, rounds=1)
     assert cli_main(["run", str(path), "--output-dir", str(tmp_path / "bad")]) == 1
     err = capsys.readouterr().err
-    assert "config error: strategy: " in err and key in err
+    assert "config error: strategy." in err and f"strategy.{key}" in err
 
 
 def test_killed_run_leaves_parseable_csv_prefix(tmp_path):

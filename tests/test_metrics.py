@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fedsvm.data import SyntheticSpec, generate_synthetic
+from fedsvm.config import SyntheticSpec
+from fedsvm.data import generate_synthetic
 from fedsvm.metrics import accuracy, confusion, format_rounds, macro_f1, mcc, rounds_to_target
 from fedsvm.model import Model
 

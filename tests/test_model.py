@@ -11,8 +11,9 @@ from fedsvm.model import (
     loss_and_gradient,
     predict,
 )
-from fedsvm.numerics import finite_difference_gradient, relative_error
 from fedsvm.strategies import pseudo_gradient
+
+from oracles import finite_difference_gradient, relative_error
 
 
 def small_model(seed=0, input_dim=5, hidden=6, emb=4, classes=3):

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from fedsvm.numerics import (
-    check_finite,
-    finite_difference_gradient,
-    relative_error,
-    weighted_mean,
-)
+from fedsvm.numerics import check_finite, weighted_mean
+
+from oracles import finite_difference_gradient, relative_error
 
 
 def test_finite_difference_quadratic():

@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
-from fedsvm.data import SyntheticSpec, generate_synthetic
-from fedsvm.model import Batch, Model, encode, init_model, loss_and_gradient
-from fedsvm.numerics import finite_difference_gradient, relative_error
-from fedsvm.optim import adam_state, sgd_state, sgd_step
-from fedsvm.strategies import (
+from fedsvm.config import (
     DECREASING,
     INCREASING,
     MOON,
     PROX,
-    SGD,
     ClientConfig,
-    ServerState,
     StrategyConfig,
+    SyntheticSpec,
+)
+from fedsvm.data import generate_synthetic
+from fedsvm.model import Batch, Model, encode, init_model, loss_and_gradient
+from fedsvm.optim import SGD, adam_state, sgd_state, sgd_step
+from fedsvm.strategies import (
+    ServerState,
     batch_orders,
     client_update,
     fedavg_aggregate,
@@ -30,6 +31,8 @@ from fedsvm.strategies import (
     spreadout_regularize,
 )
 from fedsvm.svm import BinarySvmModel, OvoSvm, fit_ovo
+
+from oracles import finite_difference_gradient, relative_error
 
 
 def tiny_model(seed=0, input_dim=4, hidden=5, emb=3, classes=3):

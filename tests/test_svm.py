@@ -9,9 +9,9 @@ from fedsvm.svm import (
     format_diagnostics,
     hyperplane,
     support_vectors_of_class,
-    verify_logit_bound,
 )
 
+from oracles import verify_logit_bound
 from qp_oracle import dual_oracle, primal_oracle, random_separable_problem
 
 
