@@ -93,14 +93,15 @@ def partition_by_client(features: Tensor, labels: np.ndarray, num_clients: int,
     """Label-skewed partition of a flat dataset via per-class Dirichlet
     proportions. Every input sample is assigned exactly once; clients
     that come out empty are re-seeded with one sample from the largest
-    client."""
+    client. Needs at least two clients, since the split holds some out."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = features.shape[0]
     if n == 0:
         raise ValueError("no samples to partition")
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
+    if num_clients < 2:
+        raise ValueError(f"num_clients = {num_clients}: need at least 2 clients, "
+                         "one to train and one held out")
     if n < num_clients:
         raise ValueError(f"fewer samples ({n}) than clients ({num_clients})")
     if num_classes is None:
@@ -113,9 +114,6 @@ def partition_by_client(features: Tensor, labels: np.ndarray, num_clients: int,
         if idx.size == 0:
             continue
         idx = rng.permutation(idx)
-        if num_clients == 1:
-            assignments[0].extend(int(i) for i in idx)
-            continue
         props = rng.dirichlet(np.full(num_clients, dirichlet_alpha))
         cuts = (np.cumsum(props)[:-1] * idx.size).astype(np.int64)
         for client, chunk in enumerate(np.split(idx, cuts)):
@@ -130,10 +128,7 @@ def partition_by_client(features: Tensor, labels: np.ndarray, num_clients: int,
     for rows in assignments:
         rows = sorted(rows)
         clients.append((features[rows], labels[rows]))
-    if num_clients == 1:
-        train, heldout = (0,), ()
-    else:
-        train, heldout = _split_clients(num_clients, rng)
+    train, heldout = _split_clients(num_clients, rng)
     return FederatedDataset(clients, num_classes, features.shape[1], train, heldout)
 
 

@@ -41,7 +41,7 @@ from .optim import (
     optimizer_step,
     sgd_state,
 )
-from .svm import OvoSvm, fit_ovo, hyperplane, support_vectors_of_class
+from .svm import OvoSvm, fit_round, hyperplane, support_vectors_of_class
 
 log = logging.getLogger(__name__)
 
@@ -531,7 +531,7 @@ def run_round(t: int, global_model: Model, dataset, server: ServerState,
             for k in range(global_model.num_classes)
         }
         try:
-            svm = fit_ovo(class_embeddings, lam)
+            svm = fit_round(class_embeddings, lam)
         except ValueError as err:
             raise RuntimeError(f"round {t}: SVM fit failed: {err}") from err
         for pair, bin_model in svm.models.items():

@@ -6,6 +6,7 @@ from .solver import (
     SvmProblem,
     fit_binary,
     fit_ovo,
+    fit_round,
     format_diagnostics,
     hyperplane,
     support_vectors_of_class,
@@ -19,6 +20,7 @@ __all__ = [
     "SvmProblem",
     "fit_binary",
     "fit_ovo",
+    "fit_round",
     "format_diagnostics",
     "hyperplane",
     "support_vectors_of_class",

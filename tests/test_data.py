@@ -128,11 +128,13 @@ def test_partition_conserves_sample_multiset():
     assert sum(c[1].size for c in ds.clients) == labels.size
 
 
-def test_partition_single_client_holds_everything():
+def test_partition_rejects_a_single_client():
+    # A partition trains on some clients and evaluates on the held-out
+    # rest, so one client is not a partition.
     features, labels = flat_samples()
-    ds = partition_by_client(features, labels, 1, 0.3, seed=4)
-    assert ds.num_clients == 1
-    assert ds.clients[0][0].shape[0] == features.shape[0]
+    for clients in (1, 0):
+        with pytest.raises(ValueError, match="need at least 2 clients"):
+            partition_by_client(features, labels, clients, 0.3, seed=4)
 
 
 def test_partition_deterministic():

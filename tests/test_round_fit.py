@@ -1,0 +1,155 @@
+"""``fit_round`` against its per-pair reference ``fit_ovo``.
+
+The round entry must return the reference's models bit for bit and raise
+the reference's pair-named errors; a round of the ``svm_c32`` benchmark
+shape must fit without a stack of per-pair M x M matrices.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fedsvm.svm import fit_ovo, fit_round
+
+
+def round_embeddings(classes, clients, dim, seed, spread=0.3, scale=1.0):
+    rng = np.random.default_rng(seed)
+    means = scale * rng.standard_normal((classes, dim))
+    return {k: [(means[k] + spread * rng.standard_normal(dim), float(i + 1))
+                for i in range(clients)]
+            for k in range(classes)}
+
+
+def assert_same_fit(reference, fitted):
+    assert fitted.num_classes == reference.num_classes
+    assert fitted.pairs() == reference.pairs()
+    for pair in reference.pairs():
+        want, got = reference.models[pair], fitted.models[pair]
+        assert got.alphas.tobytes() == want.alphas.tobytes(), pair
+        assert got.normal.tobytes() == want.normal.tobytes(), pair
+        assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes(), pair
+        assert got.support_indices == want.support_indices, pair
+        assert got.slacks.tobytes() == want.slacks.tobytes(), pair
+        for name in ("primal_value", "dual_value", "duality_gap"):
+            assert (np.float64(getattr(got, name)).tobytes()
+                    == np.float64(getattr(want, name)).tobytes()), (pair, name)
+        assert got.converged == want.converged, pair
+        assert got.sweeps == want.sweeps, pair
+        assert np.array_equal(got.dual_history, want.dual_history), pair
+        assert len(got.dual_history) == got.sweeps, pair
+    for k, samples in reference.class_samples.items():
+        assert [(i, w) for i, _, w in fitted.class_samples[k]] == [
+            (i, w) for i, _, w in samples]
+
+
+CASES = {
+    # K = 2: the round is one pair.
+    "two_classes": (round_embeddings(2, 6, 3, 0), 1.0, {}),
+    # C = 1: every pair problem has M = 2.
+    "one_client": (round_embeddings(5, 1, 4, 1), 1.0, {}),
+    # C = 5, K = 3: BLAS rounds some entries of one 15-sample product
+    # differently from the pairs' own 10-sample products.
+    "unaligned_blocks": (round_embeddings(3, 5, 16, 2), 1.0, {}),
+    "lam_small": (round_embeddings(4, 8, 6, 3), 1e-2, {}),
+    "lam_one": (round_embeddings(4, 8, 6, 3), 1.0, {}),
+    "lam_large": (round_embeddings(4, 8, 6, 3), 1e2, {}),
+    # Overlapping classes with a tight gap need more than one kernel call.
+    "second_kernel_call": (round_embeddings(4, 8, 3, 4, spread=1.0, scale=0.3), 1.0,
+                           {"tol": 1e-12}),
+    "one_call_budget": (round_embeddings(4, 8, 3, 5), 1.0, {"max_iters": 1, "tol": 1e30}),
+    "no_call_budget": (round_embeddings(3, 4, 3, 6), 1.0, {"max_iters": 0}),
+    "many_support_vectors": (round_embeddings(8, 12, 5, 7, spread=2.0), 0.5, {}),
+    # The shape of test_svm.py::test_ovo_62_classes_pair_count.
+    "62_classes": ({k: [(np.array([float(k), float(k % 5)]), 1.0)] for k in range(62)},
+                   1.0, {"max_iters": 1, "tol": 1e30}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_round_fit_equals_per_pair_reference(case):
+    embeddings, lam, kwargs = CASES[case]
+    assert_same_fit(fit_ovo(embeddings, lam, **kwargs),
+                    fit_round(embeddings, lam, **kwargs))
+
+
+def test_second_kernel_call_case_runs_more_than_one_call():
+    embeddings, lam, kwargs = CASES["second_kernel_call"]
+    sweeps = [m.sweeps for m in fit_round(embeddings, lam, **kwargs).models.values()]
+    assert max(sweeps) >= 2
+    assert min(sweeps) < max(sweeps)
+
+
+def raised(fit, embeddings, lam):
+    with pytest.raises(ValueError) as info:
+        fit(embeddings, lam)
+    return str(info.value)
+
+
+def vec(*values):
+    return np.array(values, dtype=float)
+
+
+GOOD = {0: [(vec(1.0, 0.0), 1.0), (vec(0.9, 0.2), 2.0)],
+        1: [(vec(-1.0, 0.0), 1.0), (vec(-0.8, 0.1), 2.0)],
+        2: [(vec(0.0, 1.0), 1.0), (vec(0.1, 0.9), 2.0)]}
+
+
+def with_class(k, entries):
+    return {**GOOD, k: entries}
+
+
+ERRORS = {
+    "identical_first_pair": ({0: [(vec(1.0, 1.0), 1.0)], 1: [(vec(1.0, 1.0), 1.0)],
+                              2: [(vec(0.0, 1.0), 1.0)]}, 1.0),
+    "identical_later_pair": ({0: [(vec(0.0, 1.0), 1.0)], 1: [(vec(1.0, 1.0), 1.0)],
+                              2: [(vec(1.0, 1.0), 1.0)]}, 1.0),
+    "gram_overflow": ({k: [(vec(1e200 * (k + 1), 0.0), 1.0)] for k in range(3)}, 1.0),
+    "non_finite_embedding": (with_class(2, [(vec(0.0, np.nan), 1.0), (vec(0.1, 0.9), 2.0)]),
+                             1.0),
+    "infinite_embedding": (with_class(1, [(vec(-np.inf, 0.0), 1.0), (vec(-0.8, 0.1), 2.0)]),
+                           1.0),
+    "missing_class": ({0: GOOD[0], 2: GOOD[2]}, 1.0),
+    "one_class": ({0: GOOD[0]}, 1.0),
+    "empty_class": (with_class(1, []), 1.0),
+    "non_positive_lam": (GOOD, 0.0),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(ERRORS))
+def test_round_fit_raises_the_reference_error(case):
+    embeddings, lam = ERRORS[case]
+    expected = raised(fit_ovo, embeddings, lam)
+    assert raised(fit_round, embeddings, lam) == expected
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_error_messages_name_the_pair_and_cause():
+    assert raised(fit_round, *ERRORS["gram_overflow"]).startswith(
+        "pair (0, 1): non-finite values in Gram matrix")
+    assert raised(fit_round, *ERRORS["identical_later_pair"]) == (
+        "pair (1, 2): degenerate problem: all samples identical")
+    assert raised(fit_round, *ERRORS["non_finite_embedding"]) == (
+        "pair (0, 2): non-finite values in samples")
+
+
+def test_unequal_client_lists_name_the_class():
+    embeddings = with_class(2, GOOD[2][:1])
+    with pytest.raises(ValueError, match=r"^class 2 lists 1 clients, class 0 lists 2$"):
+        fit_round(embeddings, 1.0)
+
+
+def test_svm_c32_round_fits_in_a_small_memory_peak():
+    # C = 32 clients, K = 8 classes, d = 64: pair problems of M = 64.
+    # One M x M matrix per pair would alone take 28 * 64 * 64 * 8 bytes
+    # (0.92 MB) for each stacked quantity.
+    embeddings = round_embeddings(8, 32, 64, 8, spread=0.005, scale=1.0)
+    fit_round(embeddings, 1.0)
+    tracemalloc.start()
+    try:
+        fit_round(embeddings, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6

@@ -1,7 +1,7 @@
-"""Solver behaviour lock: ``fit_ovo`` on seeded rounds shaped like the
-``svm_margin`` benchmark workloads must reproduce pinned SHA-256 digests
-of every pair's dual coefficients, normal, bias, support set and
-kernel-call count.
+"""Solver behaviour lock: ``fit_ovo`` and ``fit_round`` on seeded rounds
+shaped like the ``svm_margin`` benchmark workloads must both reproduce
+pinned SHA-256 digests of every pair's dual coefficients, normal, bias,
+support set and kernel-call count.
 
 A change to the solver's bookkeeping must pass this unchanged. A change
 that alters the solver's numerics on purpose re-pins the digests in the
@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fedsvm.svm import fit_ovo
+from fedsvm.svm import fit_ovo, fit_round
 
 # The floor of the shipped decreasing schedule, reached in its last round.
 LATE_LAMBDA = 0.01
@@ -38,7 +38,7 @@ GOLDEN = {
 
 def round_embeddings(clients, dim, spread, seed):
     """Per class, ``clients`` (embedding, dataset size) pairs in client
-    order, as ``run_round`` passes them to ``fit_ovo``."""
+    order, as ``run_round`` passes them to ``fit_round``."""
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((CLASSES, dim))
     sizes = rng.integers(10, 51, size=clients).astype(float)
@@ -47,11 +47,11 @@ def round_embeddings(clients, dim, spread, seed):
             for k in range(CLASSES)}
 
 
-def fit_digest(shape, lam):
+def fit_digest(fit, shape, lam):
     clients, dim = SHAPES[shape]
     digest = hashlib.sha256()
     for seed, spread in enumerate(SPREADS):
-        svm = fit_ovo(round_embeddings(clients, dim, spread, seed), lam)
+        svm = fit(round_embeddings(clients, dim, spread, seed), lam)
         for pair in svm.pairs():
             model = svm.models[pair]
             digest.update(model.alphas.tobytes())
@@ -64,4 +64,9 @@ def fit_digest(shape, lam):
 
 @pytest.mark.parametrize("shape,lam", sorted(GOLDEN))
 def test_fit_ovo_matches_golden_digest(shape, lam):
-    assert fit_digest(shape, lam) == GOLDEN[(shape, lam)]
+    assert fit_digest(fit_ovo, shape, lam) == GOLDEN[(shape, lam)]
+
+
+@pytest.mark.parametrize("shape,lam", sorted(GOLDEN))
+def test_fit_round_matches_golden_digest(shape, lam):
+    assert fit_digest(fit_round, shape, lam) == GOLDEN[(shape, lam)]
