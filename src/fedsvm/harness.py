@@ -113,7 +113,7 @@ def _run_seed(cfg: RunConfig, seed: int, writer, fh, diag_path: Path | None) -> 
         if diag_path is not None and rec.svm is not None:
             with open(diag_path, "a") as dfh:
                 dfh.write(f"# seed {seed} round {t + 1}\n{format_diagnostics(rec.svm)}\n")
-        del rec  # its SVM views the round's client buffer: free it before the next round
+        del rec  # free the round's SVM arrays before the next round trains its clients
 
     crossing = rounds_to_target([row.accuracy for row in rows], cfg.target_accuracy)
     reached = None if crossing is None else rows[crossing - 1].round

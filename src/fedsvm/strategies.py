@@ -41,7 +41,7 @@ from .optim import (
     optimizer_step,
     sgd_state,
 )
-from .svm import OvoSvm, fit_round, hyperplane, support_vectors_of_class
+from .svm import OvoSvm, class_pairs, fit_round
 
 log = logging.getLogger(__name__)
 
@@ -403,61 +403,79 @@ def fedaws_regularize(logit_matrix: Tensor, server_state: OptimizerState) -> Ten
     return optimizer_step(logit_matrix, grad, server_state)
 
 
-def spreadout_loss(logit_matrix: Tensor,
-                   normals: dict[tuple[int, int], Tensor]) -> tuple[float, Tensor]:
+def spreadout_loss(logit_matrix: Tensor, normals: Tensor) -> tuple[float, Tensor]:
     """Gaussian similarity of class embeddings projected on the fitted
     pair hyperplane normals, summed over pairs, with its gradient.
 
-    Each pair (k, k') contributes
+    ``normals`` holds one row per pair (k, k'), k < k', in row-major
+    upper-triangle order (``OvoSvm.pairs()``). Each pair contributes
     ``exp(-(w_k.h - w_k'.h)^2 / (2 |h|^2))`` with ``h`` held constant.
+    The pairs are computed as arrays, in the arithmetic of a loop over
+    them: each dot product is one stacked ``matmul`` item, the loss is
+    summed and the gradient rows are updated pair by pair.
     """
     w = logit_matrix
-    loss = 0.0
-    grad = np.zeros_like(w)
-    for (k, kp), h in sorted(normals.items()):
-        h_sq = float(h @ h)
-        if h_sq <= 0.0:
-            raise ValueError(f"zero-norm hyperplane normal for pair ({k}, {kp})")
-        diff = float((w[k] - w[kp]) @ h)
-        term = np.exp(-diff * diff / (2.0 * h_sq))
-        loss += term
-        coef = term * diff / h_sq
-        grad[k] -= coef * h
-        grad[kp] += coef * h
-    return float(loss), grad
+    classes, dim = w.shape
+    first, second = class_pairs(classes)
+    h_sq = (normals[:, None, :] @ normals[:, :, None])[:, 0, 0]
+    zero = (h_sq <= 0.0).nonzero()[0]
+    if zero.size:
+        p = zero[0]
+        raise ValueError(f"zero-norm hyperplane normal for pair ({first[p]}, {second[p]})")
+    diff = ((w[first] - w[second])[:, None, :] @ normals[:, :, None])[:, 0, 0]
+    term = np.exp(-diff * diff / (2.0 * h_sq))
+    step = (term * diff / h_sq)[:, None] * normals
+    # grad[k] -= step and grad[k'] += step in pair order, entry by entry;
+    # a - b is a + (-b) exactly.
+    rows = np.stack((first, second), axis=1).ravel()
+    grad = np.zeros((classes, dim))
+    np.add.at(grad.reshape(-1), (rows[:, None] * dim + np.arange(dim)).ravel(),
+              np.stack((-step, step), axis=1).ravel())
+    return float(np.add.accumulate(term)[-1]), grad
 
 
 def selective_aggregate(svm: OvoSvm) -> tuple[Tensor, tuple[int, ...]]:
     """Global class embeddings from support vectors only: row k is the
     dataset-size-weighted mean of the class-k embeddings that support at
     least one pair problem involving k. Also returns the number of such
-    embeddings per class."""
-    rows = []
-    counts = []
-    for k in range(svm.num_classes):
-        svs = support_vectors_of_class(svm, k)
-        if not svs:
-            raise ValueError(f"class {k} has no support vectors")
-        rows.append(weighted_mean([e for _, e, _ in svs], [w for _, _, w in svs]))
-        counts.append(len(svs))
-    return np.vstack(rows), tuple(counts)
+    embeddings per class.
+
+    Every class at once, and bit for bit ``weighted_mean`` over the
+    class's support rows in client order: the weights are summed client
+    by client, the anchor is the first support vector, and the weighted
+    differences are summed client by client. The anchor's own term and
+    every entry outside the support are exactly +0.0, and a sum that
+    starts at +0.0 never reaches -0.0, so adding them changes nothing.
+    """
+    support = svm.class_support()
+    counts = support.sum(axis=1)
+    empty = (counts == 0).nonzero()[0]
+    if empty.size:
+        raise ValueError(f"class {empty[0]} has no support vectors")
+    if np.any(support & (svm.weights <= 0)):
+        raise ValueError("weights must be positive")
+    x = svm.embeddings
+    weights = np.where(support, svm.weights, 0.0)
+    total = np.add.accumulate(weights, axis=1)[:, -1:]
+    anchor = x[np.arange(len(x)), support.argmax(axis=1)]
+    # Client-major (C, K, d), so the sum over clients runs down rows.
+    terms = (x.transpose(1, 0, 2) - anchor) * (weights / total).T[:, :, None]
+    terms = np.where(support.T[:, :, None], terms, 0.0)
+    return np.add.accumulate(terms)[-1] + anchor, tuple(counts.tolist())
 
 
 def spreadout_regularize(logit_matrix: Tensor, svm: OvoSvm,
                          server_state: OptimizerState,
                          reg_steps: int) -> tuple[Tensor, list[float]]:
     """Apply ``reg_steps`` server-optimizer steps to the class embeddings
-    under the projected spread-out penalty; hyperplane normals are
-    constants. Returns the new matrix and the loss before each step."""
-    normals = {}
-    for (k, kp) in svm.pairs():
-        h, _ = hyperplane(svm, k, kp)
-        normals[(k, kp)] = h
+    under the projected spread-out penalty, with the fitted pair normals
+    ``svm.normals`` as constants. Returns the new matrix and the loss
+    before each step."""
     w = logit_matrix
     losses = []
     prev = None
     for _ in range(reg_steps):
-        loss, grad = spreadout_loss(w, normals)
+        loss, grad = spreadout_loss(w, svm.normals)
         losses.append(loss)
         if prev is not None and loss >= prev:
             log.warning("spread-out penalty did not decrease: %.6g -> %.6g", prev, loss)
@@ -525,13 +543,11 @@ def run_round(t: int, global_model: Model, dataset, server: ServerState,
                                                         server.opt)
     elif strategy.kind == SVM_MARGIN:
         lam = penalty_value(strategy, t, server.total_rounds)
-        models = [global_model.with_params(row) for row in params]
-        class_embeddings = {
-            k: [(m.logit_matrix[k], size) for m, size in zip(models, sizes)]
-            for k in range(global_model.num_classes)
-        }
+        # Every row ends with the client's K x d logit matrix.
+        num_classes, dim = global_model.logit_matrix.shape
+        embeddings = params[:, -num_classes * dim:].reshape(len(selected), num_classes, dim)
         try:
-            svm = fit_round(class_embeddings, lam)
+            svm = fit_round(embeddings.transpose(1, 0, 2), lam, weights=sizes)
         except ValueError as err:
             raise RuntimeError(f"round {t}: SVM fit failed: {err}") from err
         for pair, bin_model in svm.models.items():

@@ -4,12 +4,11 @@ from .solver import (
     BinarySvmModel,
     OvoSvm,
     SvmProblem,
+    class_pairs,
     fit_binary,
     fit_ovo,
     fit_round,
     format_diagnostics,
-    hyperplane,
-    support_vectors_of_class,
 )
 
 __all__ = [
@@ -18,10 +17,9 @@ __all__ = [
     "BinarySvmModel",
     "OvoSvm",
     "SvmProblem",
+    "class_pairs",
     "fit_binary",
     "fit_ovo",
     "fit_round",
     "format_diagnostics",
-    "hyperplane",
-    "support_vectors_of_class",
 ]

@@ -48,6 +48,12 @@ class PairGrams(NamedTuple):
     columns: np.ndarray          # P x 2 x M, intp
 
 
+def diagonals(grams: PairGrams, y) -> np.ndarray:
+    """Each problem's Gram diagonal, P x M, for the labels ``y``."""
+    side = (y < 0).astype(np.intp)
+    return grams.matrix[grams.columns[:, 0], grams.columns[:, side, np.arange(y.shape[0])]]
+
+
 def sweep(gram, y, lam, alpha, grad, eps, changed=None):
     """Apply WSS2 pair updates until the maximal violation
     ``m(alpha) - M(alpha)`` is at most ``eps``, no selected pair moves,
@@ -175,7 +181,6 @@ def _sweep_lockstep(grams, y, lam, alpha, grad, eps, limit, changed):
     rows are summed: sign flips are exact, so the step is the same up to
     the sign of a zero, which no comparison or update can see.
     """
-    m = y.shape[0]
     positive = y > 0
     side = (~positive).astype(np.intp)
     neg_y = -y
@@ -189,7 +194,7 @@ def _sweep_lockstep(grams, y, lam, alpha, grad, eps, limit, changed):
     live = np.arange(alpha.shape[0])
     columns = grams.columns
     rows = columns[:, 0]
-    diag = matrix[rows, columns[:, side, np.arange(m)]]
+    diag = diagonals(grams, y)
     floor = CURVATURE_FLOOR * diag.max(axis=1)
     a, g = alpha, grad
     at = live

@@ -124,7 +124,12 @@ def _pair_gram(x: Tensor) -> Tensor:
     if (x == x[0]).all():
         raise ValueError("degenerate problem: all samples identical")
     # Finite samples above about 1e154 overflow their inner products.
-    return check_finite(x @ x.T, "Gram matrix (sample inner products overflow)")
+    gram = check_finite(x @ x.T, "Gram matrix (sample inner products overflow)")
+    # The kernel divides by curvatures floored at a share of the largest
+    # squared norm, so that share must not underflow to 0.
+    if not backend.CURVATURE_FLOOR * np.diagonal(gram).max() > 0.0:
+        raise ValueError("Gram matrix underflows (sample norms below about 1.6e-156)")
+    return gram
 
 
 def fit_binary(problem: SvmProblem, max_iters: int | None = None,
@@ -191,34 +196,80 @@ def fit_binary(problem: SvmProblem, max_iters: int | None = None,
     )
 
 
+def class_pairs(num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The class pairs (k, k'), k < k', in row-major upper-triangle order,
+    as an array of the k and an array of the k'."""
+    k = np.arange(num_classes)
+    return (k[:, None] < k).nonzero()
+
+
 @dataclass
 class OvoSvm:
-    """One binary model per unordered class pair, k < k', with class k on
-    the positive side. ``class_samples`` keeps the inputs: for each class,
-    the (client index, embedding, weight) triples in client order."""
+    """A round's one-vs-one fit, kept as the round's stacked arrays.
 
-    num_classes: int
+    ``embeddings[k, i]`` is client i's class-k embedding (K x C x d) and
+    ``weights[i]`` its weight (C). Pair p of ``pairs()`` is (k, k'),
+    k < k', in row-major upper-triangle order, with class k on the
+    positive side: ``normals[p]`` is its hyperplane normal (P x d), and
+    ``support[p]`` marks its support vectors (P x 2C), class k's clients
+    first, then class k''s. ``models[(k, k')]`` is the pair's full fit;
+    its ``normal`` is row p of ``normals``.
+    """
+
+    embeddings: Tensor
+    weights: Tensor
+    normals: Tensor
+    support: np.ndarray
     models: dict[tuple[int, int], BinarySvmModel]
-    class_samples: dict[int, list[tuple[int, Tensor, float]]]
+
+    @property
+    def num_classes(self) -> int:
+        return self.embeddings.shape[0]
 
     def pairs(self):
         return sorted(self.models.keys())
 
+    def class_support(self) -> np.ndarray:
+        """K x C mask of the clients whose class-k embedding supports any
+        pair problem involving k."""
+        classes, clients = self.embeddings.shape[:2]
+        first, second = class_pairs(classes)
+        # Row (k, k') holds class k's half of the support of pair (k, k').
+        halves = np.zeros((classes, classes, clients), dtype=bool)
+        halves[first, second] = self.support[:, :clients]
+        halves[second, first] = self.support[:, clients:]
+        return halves.any(axis=1)
 
-def _class_samples(class_embeddings) -> dict[int, list[tuple[int, Tensor, float]]]:
-    """``OvoSvm.class_samples`` of the per-class embedding lists, after
-    checking that they cover classes 0..K-1 and none is empty."""
+
+def _round_inputs(class_embeddings, weights) -> tuple[Tensor, Tensor]:
+    """The K x C x d embeddings and C client weights of a round, after
+    checking that there are K >= 2 classes and every class lists the same
+    C >= 1 clients with the same weights."""
+    if not isinstance(class_embeddings, Mapping):
+        x = np.array(class_embeddings, dtype=np.float64)
+        weights = np.array(weights, dtype=np.float64)
+        if x.ndim != 3 or x.shape[0] < 2 or x.shape[1] < 1 or weights.shape != x.shape[1:2]:
+            raise ValueError("need K >= 2 classes of C >= 1 embeddings in a K x C x d "
+                             "array, and C weights")
+        return x, weights
     classes = sorted(class_embeddings.keys())
     if classes != list(range(len(classes))) or len(classes) < 2:
         raise ValueError("class_embeddings must cover classes 0..K-1, K >= 2")
-    class_samples = {}
-    for k in classes:
-        entries = list(class_embeddings[k])
-        if not entries:
+    entries = [list(class_embeddings[k]) for k in classes]
+    for k, listed in enumerate(entries):
+        if not listed:
             raise ValueError(f"class {k} has no embeddings")
-        class_samples[k] = [(i, as_tensor(e), float(w))
-                            for i, (e, w) in enumerate(entries)]
-    return class_samples
+    clients = len(entries[0])
+    for k, listed in enumerate(entries):
+        if len(listed) != clients:
+            raise ValueError(f"class {k} lists {len(listed)} clients, "
+                             f"class 0 lists {clients}")
+    weights = np.array([[float(w) for _, w in listed] for listed in entries])
+    for k, row in enumerate(weights):
+        if not np.array_equal(row, weights[0]):
+            raise ValueError(f"class {k} weighs its clients unlike class 0")
+    x = np.array([[e for e, _ in listed] for listed in entries], dtype=np.float64)
+    return x, weights[0]
 
 
 def fit_ovo(class_embeddings: Mapping[int, Sequence[tuple[Tensor, float]]],
@@ -227,61 +278,53 @@ def fit_ovo(class_embeddings: Mapping[int, Sequence[tuple[Tensor, float]]],
     """Fit all K(K-1)/2 pair problems over per-class embedding lists, one
     ``fit_binary`` call per pair: the per-pair reference for ``fit_round``.
 
-    The position of an embedding within its class list is its client
-    index; every class list must enumerate clients in the same order for
-    cross-pair de-duplication to be meaningful.
+    Class k lists (embedding, weight) for each of the round's C clients;
+    the position in the list is the client index, so every class lists
+    the same clients, in the same order, with the same weights.
     """
-    class_samples = _class_samples(class_embeddings)
-    classes = list(class_samples)
-    blocks = [np.array([e for _, e, _ in class_samples[k]]) for k in classes]
-    # Label vectors by (positive, negative) count: one per round when every
-    # class lists the same clients.
-    pair_labels = {}
+    x, weights = _round_inputs(class_embeddings, None)
+    clients = x.shape[1]
+    labels = np.concatenate((np.ones(clients), -np.ones(clients)))
+    first, second = class_pairs(len(x))
     models = {}
-    for k in classes:
-        for kp in classes[k + 1:]:
-            samples = np.concatenate((blocks[k], blocks[kp]))
-            counts = (len(blocks[k]), len(blocks[kp]))
-            labels = pair_labels.get(counts)
-            if labels is None:
-                labels = pair_labels[counts] = np.concatenate(
-                    (np.ones(counts[0]), -np.ones(counts[1])))
-            try:
-                problem = SvmProblem(samples, labels, lam)
-                models[(k, kp)] = fit_binary(problem, max_iters=max_iters, tol=tol)
-            except ValueError as err:
-                raise ValueError(f"pair ({k}, {kp}): {err}") from err
-    return OvoSvm(len(classes), models, class_samples)
+    for k, kp in zip(first.tolist(), second.tolist()):
+        try:
+            problem = SvmProblem(np.concatenate((x[k], x[kp])), labels, lam)
+            models[(k, kp)] = fit_binary(problem, max_iters=max_iters, tol=tol)
+        except ValueError as err:
+            raise ValueError(f"pair ({k}, {kp}): {err}") from err
+    normals = np.array([model.normal for model in models.values()])
+    support = np.zeros((len(models), 2 * clients), dtype=bool)
+    for p, model in enumerate(models.values()):
+        model.normal = normals[p]
+        support[p, list(model.support_indices)] = True
+    return OvoSvm(x, weights, normals, support, models)
 
 
-def fit_round(class_embeddings: Mapping[int, Sequence[tuple[Tensor, float]]],
-              lam: float, max_iters: int | None = None,
-              tol: float = DEFAULT_GAP_TOL) -> OvoSvm:
+def fit_round(class_embeddings, lam: float, max_iters: int | None = None,
+              tol: float = DEFAULT_GAP_TOL, weights=None) -> OvoSvm:
     """Fit all K(K-1)/2 pair problems of one round in lockstep.
 
-    Takes what ``fit_ovo`` takes, with every class listing the same C
-    clients, and returns what it returns, bit for bit: every pair reads
-    the Gram entries its own ``fit_binary`` computes, the kernel updates
-    each pair as a call of its own would, and the per-call tail is
-    ``fit_binary``'s arithmetic on stacked arrays. The round is checked
-    once; a round that fails is checked pair by pair in ``fit_ovo``'s
-    order, to raise the same pair-named error. Each kernel call runs every
-    pair still above ``tol`` at one violation tolerance.
+    Takes what ``fit_ovo`` takes, or the round's K x C x d embedding
+    array with the C client ``weights``, and returns what ``fit_ovo``
+    returns, bit for bit: every pair reads the Gram entries its own
+    ``fit_binary`` computes, the kernel updates each pair as a call of its
+    own would, and the per-call tail is ``fit_binary``'s arithmetic on
+    stacked arrays. The round is checked once; a round that fails is
+    checked pair by pair in ``fit_ovo``'s order, to raise the same
+    pair-named error. Each kernel call runs every pair still above
+    ``tol`` at one violation tolerance.
     """
-    class_samples = _class_samples(class_embeddings)
-    clients = len(class_samples[0])
-    for k, entries in class_samples.items():
-        if len(entries) != clients:
-            raise ValueError(f"class {k} lists {len(entries)} clients, "
-                             f"class 0 lists {clients}")
-    x = np.array([[e for _, e, _ in entries] for entries in class_samples.values()])
-    num_classes = len(class_samples)
-    pairs = [(k, kp) for k in range(num_classes) for kp in range(k + 1, num_classes)]
+    x, weights = _round_inputs(class_embeddings, weights)
+    num_classes, clients = x.shape[:2]
+    first, second = class_pairs(num_classes)
+    pairs = list(zip(first.tolist(), second.tolist()))
     y = np.concatenate((np.ones(clients), -np.ones(clients)))
     if x.ndim != 3 or lam <= 0 or not np.isfinite(x).all() or _identical_pair(x):
         _check_pairs(x, pairs, y, lam)
-    grams = _round_grams(x, pairs)
-    if not np.isfinite(grams.matrix).all():
+    grams = _round_grams(x, first, second)
+    floors = backend.CURVATURE_FLOOR * backend.diagonals(grams, y).max(axis=1)
+    if not (np.isfinite(grams.matrix).all() and (floors > 0.0).all()):
         _check_pairs(x, pairs, y, lam)
 
     lam = float(lam)
@@ -342,7 +385,7 @@ def fit_round(class_embeddings: Mapping[int, Sequence[tuple[Tensor, float]]],
             sweeps=n,
             dual_history=tuple(history[p]),
         )
-    return OvoSvm(num_classes, models, class_samples)
+    return OvoSvm(x, weights, normal, support, models)
 
 
 def _identical_pair(x: Tensor) -> bool:
@@ -361,7 +404,7 @@ def _check_pairs(x: Tensor, pairs, labels: np.ndarray, lam: float) -> None:
             raise ValueError(f"pair ({k}, {kp}): {err}") from err
 
 
-def _round_grams(x: Tensor, pairs) -> backend.PairGrams:
+def _round_grams(x: Tensor, first: np.ndarray, second: np.ndarray) -> backend.PairGrams:
     """Every pair's Gram matrix, each entry stored once per round.
 
     BLAS rounds an entry of ``x @ x.T`` by where it sits in the product,
@@ -377,8 +420,6 @@ def _round_grams(x: Tensor, pairs) -> backend.PairGrams:
     """
     num_classes, clients, dim = x.shape
     m = 2 * clients
-    first = np.array([k for k, _ in pairs])
-    second = np.array([kp for _, kp in pairs])
     own = np.arange(clients)
     rows = np.concatenate((first[:, None] * clients + own,
                            second[:, None] * clients + own), axis=1)
@@ -387,7 +428,7 @@ def _round_grams(x: Tensor, pairs) -> backend.PairGrams:
     blocks = np.zeros((num_classes, clients, num_classes + 1, clients))
     samples = x.reshape(num_classes * clients, dim)
     step = max(1, STACK_FLOATS // (m * max(m, dim)))
-    for start in range(0, len(pairs), step):
+    for start in range(0, len(first), step):
         k, kp = first[start:start + step], second[start:start + step]
         stack = samples[rows[start:start + step]]
         gram = stack @ stack.transpose(0, 2, 1)
@@ -447,37 +488,6 @@ def _recover_biases(alphas: Tensor, margins_wo_bias: Tensor, y: Tensor, lam: flo
         at = (count == n).nonzero()[0]
         bias[at] = found[start[at][:, None] + np.arange(n)].sum(axis=1) / n
     return bias
-
-
-def support_vectors_of_class(svm: OvoSvm, k: int) -> list[tuple[int, Tensor, float]]:
-    """Clients whose class-k embedding supports any pair problem involving
-    k, de-duplicated by client index, in client-index order."""
-    if k < 0 or k >= svm.num_classes:
-        raise ValueError(f"class {k} out of range")
-    entries = svm.class_samples[k]
-    seen = set()
-    for kp in range(svm.num_classes):
-        if kp == k:
-            continue
-        a, b = (k, kp) if k < kp else (kp, k)
-        offset = 0 if k == a else len(svm.class_samples[a])
-        end = offset + len(entries)
-        seen.update(i - offset for i in svm.models[(a, b)].support_indices
-                    if offset <= i < end)
-    return [entries[i] for i in sorted(seen)]
-
-
-def hyperplane(svm: OvoSvm, k: int, kp: int) -> tuple[Tensor, float]:
-    """Separating hyperplane between two classes, oriented so the lower
-    class index sits on the positive side; hence
-    ``hyperplane(k, kp) == -hyperplane(kp, k)``."""
-    if k == kp:
-        raise ValueError("hyperplane requires two distinct classes")
-    a, b = (k, kp) if k < kp else (kp, k)
-    model = svm.models[(a, b)]
-    if k == a:
-        return model.normal, model.bias
-    return -model.normal, -model.bias
 
 
 def format_diagnostics(svm: OvoSvm) -> str:

@@ -1,6 +1,7 @@
 """Test oracles: a central-difference gradient, the relative error the
-gradient checks compare with, and the closed-form lower bound on the
-projected logit gap of a binary SVM. Only the test suite imports this.
+gradient checks compare with, the closed-form lower bound on the
+projected logit gap of a binary SVM, and the per-pair loops that the
+server's SVM stage computes as arrays. Only the test suite imports this.
 """
 
 from typing import Callable
@@ -8,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from fedsvm.numerics import Tensor, as_tensor, weighted_mean
-from fedsvm.svm import BinarySvmModel
+from fedsvm.svm import BinarySvmModel, OvoSvm
 
 
 def finite_difference_gradient(f: Callable[[Tensor], float], x: Tensor,
@@ -90,3 +91,36 @@ def verify_logit_bound(svm: BinarySvmModel, pos_embeddings, neg_embeddings,
     total_slack = float(np.sum(slack_pos) + np.sum(slack_neg))
     rhs = (2.0 * n - total_slack) * (1.0 - slack_star) / (n * h_sq)
     return lhs, rhs, bool(lhs >= rhs - tolerance)
+
+
+def support_clients(svm: OvoSvm, k: int) -> list[int]:
+    """Clients whose class-k embedding supports any pair problem involving
+    k, read from each pair's ``support_indices``, in client order."""
+    clients = svm.embeddings.shape[1]
+    seen = set()
+    for (a, b), model in svm.models.items():
+        if k in (a, b):
+            offset = 0 if k == a else clients
+            seen.update(i - offset for i in model.support_indices
+                        if offset <= i < offset + clients)
+    return sorted(seen)
+
+
+def spreadout_loss(logit_matrix: Tensor,
+                   normals: dict[tuple[int, int], Tensor]) -> tuple[float, Tensor]:
+    """``strategies.spreadout_loss`` as a loop over the pairs (k, k') in
+    order, with one 1-D dot product per projection."""
+    w = logit_matrix
+    loss = 0.0
+    grad = np.zeros_like(w)
+    for (k, kp), h in sorted(normals.items()):
+        h_sq = float(h @ h)
+        if h_sq <= 0.0:
+            raise ValueError(f"zero-norm hyperplane normal for pair ({k}, {kp})")
+        diff = float((w[k] - w[kp]) @ h)
+        term = np.exp(-diff * diff / (2.0 * h_sq))
+        loss += term
+        coef = term * diff / h_sq
+        grad[k] -= coef * h
+        grad[kp] += coef * h
+    return float(loss), grad

@@ -144,8 +144,7 @@ def test_criterion_1_gradient_oracles():
 
     k, d = 4, 3
     for trial in range(20):
-        normals = {(a, b): rng.standard_normal(d)
-                   for a in range(k) for b in range(a + 1, k)}
+        normals = rng.standard_normal((k * (k - 1) // 2, d))
         w = rng.standard_normal((k, d))
         _, grad = spreadout_loss(w, normals)
         fd = finite_difference_gradient(

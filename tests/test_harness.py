@@ -291,8 +291,9 @@ def test_failed_seed_does_not_stop_others(tmp_path, monkeypatch):
 
 
 def test_round_record_is_released_before_the_next_round(tmp_path, monkeypatch):
-    # A round's SVM keeps views into that round's (C, P) client buffer;
-    # no buffer may still be alive when the next round trains its clients.
+    # No round's (C, P) client buffer may still be alive when the next
+    # round trains its clients; a round's SVM holds a copy of its class
+    # embeddings, not views into that buffer.
     import fedsvm.strategies as strategies
 
     original = strategies.client_update

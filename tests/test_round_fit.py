@@ -38,9 +38,15 @@ def assert_same_fit(reference, fitted):
         assert got.sweeps == want.sweeps, pair
         assert np.array_equal(got.dual_history, want.dual_history), pair
         assert len(got.dual_history) == got.sweeps, pair
-    for k, samples in reference.class_samples.items():
-        assert [(i, w) for i, _, w in fitted.class_samples[k]] == [
-            (i, w) for i, _, w in samples]
+    for name in ("embeddings", "weights", "normals", "support"):
+        want, got = getattr(reference, name), getattr(fitted, name)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    for p, pair in enumerate(reference.pairs()):
+        for svm in (reference, fitted):
+            assert np.shares_memory(svm.models[pair].normal, svm.normals[p]), pair
+            assert svm.support[p].nonzero()[0].tolist() == list(
+                svm.models[pair].support_indices), pair
 
 
 CASES = {
@@ -71,6 +77,29 @@ def test_round_fit_equals_per_pair_reference(case):
     embeddings, lam, kwargs = CASES[case]
     assert_same_fit(fit_ovo(embeddings, lam, **kwargs),
                     fit_round(embeddings, lam, **kwargs))
+
+
+@pytest.mark.parametrize("case", ["unaligned_blocks", "many_support_vectors"])
+def test_round_fit_takes_the_stacked_round(case):
+    embeddings, lam, kwargs = CASES[case]
+    x = np.array([[e for e, _ in embeddings[k]] for k in sorted(embeddings)])
+    weights = [w for _, w in embeddings[0]]
+    # The layout of run_round's client buffer: one client per row.
+    rows = np.ascontiguousarray(x.transpose(1, 0, 2))
+    assert_same_fit(fit_ovo(embeddings, lam, **kwargs),
+                    fit_round(rows.transpose(1, 0, 2), lam, weights=weights, **kwargs))
+
+
+@pytest.mark.parametrize("x,weights", [
+    (np.ones((1, 2, 3)), [1.0, 1.0]),     # one class
+    (np.ones((2, 0, 3)), []),             # no clients
+    (np.ones((2, 2)), [1.0, 1.0]),        # not K x C x d
+    (np.ones((2, 2, 3)), [1.0]),          # one weight for two clients
+    (np.ones((2, 2, 3)), None),           # no weights
+])
+def test_stacked_round_is_checked(x, weights):
+    with pytest.raises(ValueError, match=r"^need K >= 2 classes"):
+        fit_round(x, 1.0, weights=weights)
 
 
 def test_second_kernel_call_case_runs_more_than_one_call():
@@ -113,6 +142,13 @@ ERRORS = {
     "one_class": ({0: GOOD[0]}, 1.0),
     "empty_class": (with_class(1, []), 1.0),
     "non_positive_lam": (GOOD, 0.0),
+    "unequal_client_lists": (with_class(2, GOOD[2][:1]), 1.0),
+    "unequal_weights": (with_class(1, [(vec(-1.0, 0.0), 1.0), (vec(-0.8, 0.1), 3.0)]), 1.0),
+    # Every squared norm underflows to 0, so the kernel's curvature floor
+    # would be 0.
+    "gram_underflow": ({0: [(vec(1e-170, 0.0), 1.0)], 1: [(vec(0.0, 1e-170), 1.0)]}, 1.0),
+    "gram_underflow_later_pair": ({0: [(vec(1.0, 0.0), 1.0)], 1: [(vec(1e-170, 0.0), 1.0)],
+                                   2: [(vec(0.0, 1e-170), 1.0)]}, 1.0),
 }
 
 
@@ -132,6 +168,10 @@ def test_error_messages_name_the_pair_and_cause():
         "pair (1, 2): degenerate problem: all samples identical")
     assert raised(fit_round, *ERRORS["non_finite_embedding"]) == (
         "pair (0, 2): non-finite values in samples")
+    assert raised(fit_round, *ERRORS["gram_underflow"]).startswith(
+        "pair (0, 1): Gram matrix underflows")
+    assert raised(fit_round, *ERRORS["unequal_weights"]) == (
+        "class 1 weighs its clients unlike class 0")
 
 
 def test_unequal_client_lists_name_the_class():

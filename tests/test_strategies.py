@@ -313,8 +313,7 @@ def test_fedaws_gradient_matches_finite_differences():
 
 def test_spreadout_equal_projections_give_max_term():
     w = np.array([[1.0, 0.0], [1.0, 0.0]])
-    normals = {(0, 1): np.array([1.0, 0.0])}
-    loss, _ = spreadout_loss(w, normals)
+    loss, _ = spreadout_loss(w, np.array([[1.0, 0.0]]))
     assert loss == pytest.approx(1.0, abs=1e-12)
 
 
@@ -323,20 +322,19 @@ def test_spreadout_unit_variance_distance_gives_inv_e():
     # Projection difference squared equal to 2|h|^2 makes the pair term 1/e:
     # the rows differ by sqrt(2) along the normal direction.
     w = np.array([[np.sqrt(2.0) / 2.0, 0.0], [-np.sqrt(2.0) / 2.0, 0.0]])
-    loss, _ = spreadout_loss(w, {(0, 1): h})
+    loss, _ = spreadout_loss(w, h[None])
     assert loss == pytest.approx(np.exp(-1.0), abs=1e-12)
 
 
 def test_spreadout_zero_normal_rejected():
-    with pytest.raises(ValueError, match="zero-norm"):
-        spreadout_loss(np.eye(2), {(0, 1): np.zeros(2)})
+    with pytest.raises(ValueError, match=r"^zero-norm hyperplane normal for pair \(0, 2\)$"):
+        spreadout_loss(np.eye(3), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 def test_spreadout_gradient_matches_finite_differences():
     rng = np.random.default_rng(30)
     k, d = 4, 3
-    normals = {(a, b): rng.standard_normal(d)
-               for a in range(k) for b in range(a + 1, k)}
+    normals = rng.standard_normal((k * (k - 1) // 2, d))
     for _ in range(5):
         w = rng.standard_normal((k, d))
         _, grad = spreadout_loss(w, normals)
@@ -353,15 +351,15 @@ def fake_binary(alphas):
 
 
 def test_selective_aggregate_weighted_mean_of_support_rows():
-    # Class 0 has clients 0..3; only clients 1 and 3 support the single
-    # pair problem, with sizes 1 and 3 and embeddings 0 and 4.
-    class_samples = {
-        0: [(0, np.array([9.0]), 2.0), (1, np.array([0.0]), 1.0),
-            (2, np.array([9.0]), 2.0), (3, np.array([4.0]), 3.0)],
-        1: [(0, np.array([-1.0]), 1.0)],
-    }
-    alphas = np.array([0.0, 1.0, 0.0, 1.0, 1.0])  # rows: class0 x4, class1 x1
-    ovo = OvoSvm(2, {(0, 1): fake_binary(alphas)}, class_samples)
+    # Clients 0..3 with sizes 2, 1, 2, 3. In class 0 only clients 1 and 3
+    # support the single pair problem, with embeddings 0 and 4; in class 1
+    # only client 0, with embedding -1.
+    embeddings = np.array([[[9.0], [0.0], [9.0], [4.0]],
+                           [[-1.0], [5.0], [5.0], [5.0]]])
+    alphas = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0])  # class 0, then class 1
+    model = fake_binary(alphas)
+    ovo = OvoSvm(embeddings, np.array([2.0, 1.0, 2.0, 3.0]), model.normal[None],
+                 alphas[None] > 0, {(0, 1): model})
     w, counts = selective_aggregate(ovo)
     assert w[0, 0] == pytest.approx(3.0, abs=1e-12)
     assert w[1, 0] == -1.0
@@ -529,6 +527,19 @@ def test_svm_stage_failure_names_its_round(monkeypatch):
     server = make_server("svm_margin", total_rounds=4)
     with pytest.raises(RuntimeError, match="round 3: class 0 has no support vectors"):
         run_round(3, model, dataset, server, ClientConfig(learning_rate=0.0), 1, seed=0)
+
+
+def test_underflowing_gram_names_its_round_and_pair():
+    # Every squared embedding norm underflows to 0, so the kernel's
+    # curvature floor would be 0: the fit must fail by name instead of
+    # dividing by zero.
+    dataset = generate_synthetic(SyntheticSpec(num_clients=10, num_classes=2, seed=0))
+    model = init_model(dataset.feature_dim, [8], 2, 2, np.random.default_rng(0))
+    model.logit_matrix[...] = np.diag([1e-170, 1e-170])
+    server = make_server("svm_margin", total_rounds=4)
+    with pytest.raises(RuntimeError, match=r"^round 3: SVM fit failed: pair \(0, 1\): "
+                                           r"Gram matrix underflows"):
+        run_round(3, model, dataset, server, ClientConfig(learning_rate=0.0), 2, seed=0)
 
 
 def test_sampling_frequencies_are_uniform():

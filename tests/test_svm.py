@@ -7,8 +7,6 @@ from fedsvm.svm import (
     fit_binary,
     fit_ovo,
     format_diagnostics,
-    hyperplane,
-    support_vectors_of_class,
 )
 
 from oracles import verify_logit_bound
@@ -211,6 +209,10 @@ def simplex_ovo(lam=1.0):
     return fit_ovo({k: [(corners[k], 1.0)] for k in range(3)}, lam)
 
 
+def support_clients(ovo, k):
+    return ovo.class_support()[k].nonzero()[0].tolist()
+
+
 def test_ovo_pair_count_binary():
     ovo = fit_ovo({0: [(np.array([1.0]), 1.0), (np.array([2.0]), 1.0)],
                    1: [(np.array([-1.0]), 1.0), (np.array([-2.0]), 1.0)]}, 1.0)
@@ -220,8 +222,8 @@ def test_ovo_pair_count_binary():
 def test_ovo_simplex_normals_parallel_to_differences():
     ovo = simplex_ovo()
     corners = np.eye(3)
-    for (k, kp) in ovo.pairs():
-        h, _ = hyperplane(ovo, k, kp)
+    for p, (k, kp) in enumerate(ovo.pairs()):
+        h = ovo.normals[p]
         diff = corners[k] - corners[kp]
         cos = (h @ diff) / (np.linalg.norm(h) * np.linalg.norm(diff))
         assert cos == pytest.approx(1.0, abs=1e-8)
@@ -236,17 +238,15 @@ def test_ovo_62_classes_pair_count():
 def test_support_vectors_union_and_dedup():
     ovo = simplex_ovo()
     for k in range(3):
-        svs = support_vectors_of_class(ovo, k)
         # The lone client supports both pairs involving k but appears once.
-        assert [client for client, _, _ in svs] == [0]
+        assert support_clients(ovo, k) == [0]
 
 
 def test_interior_point_is_not_a_support_vector():
     pos = np.array([[2.0, 0.0], [3.0, 1.0], [3.0, -1.0]])
     neg = -pos
     ovo = fit_ovo({0: [(p, 1.0) for p in pos], 1: [(q, 1.0) for q in neg]}, 10.0)
-    sv0 = [client for client, _, _ in support_vectors_of_class(ovo, 0)]
-    assert sv0 == [0]
+    assert support_clients(ovo, 0) == [0]
     # The oracle confirms the interior points carry zero dual weight.
     x = np.vstack([pos, neg])
     y = np.concatenate([np.ones(3), -np.ones(3)])
@@ -260,25 +260,17 @@ def test_both_class_embeddings_can_be_support_vectors():
                    1: [(np.array([-1.0, 0.0]), 1.0), (np.array([-0.9, -0.1]), 2.0)]},
                   0.05)
     for k in (0, 1):
-        assert [c for c, _, _ in support_vectors_of_class(ovo, k)] == [0, 1]
+        assert support_clients(ovo, k) == [0, 1]
 
 
-def test_hyperplane_antisymmetry_and_orientation():
+def test_pair_normals_put_the_lower_class_on_the_positive_side():
     ovo = simplex_ovo()
-    for (k, kp) in ovo.pairs():
-        h_fwd, b_fwd = hyperplane(ovo, k, kp)
-        h_rev, b_rev = hyperplane(ovo, kp, k)
-        assert np.array_equal(h_fwd, -h_rev)
-        assert b_fwd == -b_rev
-        assert np.linalg.norm(h_fwd) > 0
-        # Lower class index sits on the positive side.
-        corners = np.eye(3)
-        assert corners[k] @ h_fwd + b_fwd > 0
-
-
-def test_hyperplane_same_class_rejected():
-    with pytest.raises(ValueError):
-        hyperplane(simplex_ovo(), 1, 1)
+    corners = np.eye(3)
+    for p, (k, kp) in enumerate(ovo.pairs()):
+        h, b = ovo.normals[p], ovo.models[(k, kp)].bias
+        assert np.linalg.norm(h) > 0
+        assert corners[k] @ h + b > 0
+        assert corners[kp] @ h + b < 0
 
 
 def test_ovo_error_carries_pair_identity():
@@ -299,7 +291,7 @@ def test_diagnostics_table_shape():
     lines = text.splitlines()
     assert len(lines) == 1 + 3
     assert "duality_gap" in lines[0]
-    assert [len(support_vectors_of_class(ovo, k)) for k in range(3)] == [1, 1, 1]
+    assert ovo.class_support().sum(axis=1).tolist() == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
