@@ -1,7 +1,9 @@
 """Solver behaviour lock: ``fit_ovo`` and ``fit_round`` on seeded rounds
 shaped like the ``svm_margin`` benchmark workloads must both reproduce
 pinned SHA-256 digests of every pair's dual coefficients, normal, bias,
-support set and kernel-call count.
+support set and kernel-call count; ``fit_binary`` on seeded general
+problems, which no round produces, must reproduce a pinned digest of its
+whole result.
 
 A change to the solver's bookkeeping must pass this unchanged. A change
 that alters the solver's numerics on purpose re-pins the digests in the
@@ -13,7 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fedsvm.svm import fit_ovo, fit_round
+from fedsvm.svm import SvmProblem, fit_binary, fit_ovo, fit_round
 
 # The floor of the shipped decreasing schedule, reached in its last round.
 LATE_LAMBDA = 0.01
@@ -70,3 +72,39 @@ def test_fit_ovo_matches_golden_digest(shape, lam):
 @pytest.mark.parametrize("shape,lam", sorted(GOLDEN))
 def test_fit_round_matches_golden_digest(shape, lam):
     assert fit_digest(fit_round, shape, lam) == GOLDEN[(shape, lam)]
+
+
+# fit_binary on problems of any shape a round never has: odd and even M,
+# labels in any order and balance, samples from 1e-3 to 1e3, penalties
+# from 1e-3 to 1e4, budgets of 0 to 3 kernel calls and a tight gap.
+BINARY_PROBLEMS = 150
+BINARY_GOLDEN = "10d6d242469091625f0ad7ed012c65b28b319b0db12b2f00744d5aa280a91cfd"
+
+
+def binary_case(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 40))
+    dim = int(rng.integers(1, 70))
+    labels = np.ones(m)
+    labels[rng.permutation(m)[:rng.integers(1, m)]] = -1.0
+    shift = rng.uniform(0.0, 2.0) * rng.standard_normal(dim)
+    samples = 10.0 ** rng.uniform(-3, 3) * (rng.standard_normal((m, dim))
+                                            + labels[:, None] * shift)
+    lam = 10.0 ** rng.uniform(-3, 4)
+    options = ({"max_iters": seed // 3 % 4}, {"tol": 1e-12}, {})[seed % 3]
+    return SvmProblem(samples, labels, lam), options
+
+
+def test_fit_binary_matches_golden_digest():
+    digest = hashlib.sha256()
+    for seed in range(BINARY_PROBLEMS):
+        problem, options = binary_case(seed)
+        model = fit_binary(problem, **options)
+        for values in (model.alphas, model.normal, model.slacks):
+            digest.update(values.tobytes())
+        digest.update(np.array([model.bias, model.primal_value, model.dual_value,
+                                model.duality_gap, *model.dual_history]).tobytes())
+        digest.update(np.array(model.support_indices, dtype=np.int64).tobytes())
+        digest.update(np.int64(model.sweeps).tobytes())
+        digest.update(np.bool_(model.converged).tobytes())
+    assert digest.hexdigest() == BINARY_GOLDEN
