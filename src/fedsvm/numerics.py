@@ -15,12 +15,9 @@ import numpy as np
 Tensor = np.ndarray
 
 
-def as_tensor(values, shape=None) -> Tensor:
-    """Coerce ``values`` to a float64 array, optionally reshaped."""
-    arr = np.asarray(values, dtype=np.float64)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    return arr
+def as_tensor(values) -> Tensor:
+    """Coerce ``values`` to a float64 array."""
+    return np.asarray(values, dtype=np.float64)
 
 
 def check_finite(arr: Tensor, what: str = "tensor") -> Tensor:

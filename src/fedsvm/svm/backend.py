@@ -41,17 +41,14 @@ class PairGrams(NamedTuple):
     reads, while a sample labelled -1 reads ``columns[p, 1]``. So entry
     (a, b) of problem p's Gram matrix is
     ``matrix[columns[p, 0, a], columns[p, s, b]]``, with s = 0 for
-    y[a] = +1 and s = 1 for y[a] = -1.
+    y[a] = +1 and s = 1 for y[a] = -1. ``diagonal[p]`` is problem p's
+    Gram diagonal, gathered once per fit; a subset of the problems slices
+    it together with ``columns``.
     """
 
     matrix: np.ndarray           # N x N'
     columns: np.ndarray          # P x 2 x M, intp
-
-
-def diagonals(grams: PairGrams, y) -> np.ndarray:
-    """Each problem's Gram diagonal, P x M, for the labels ``y``."""
-    side = (y < 0).astype(np.intp)
-    return grams.matrix[grams.columns[:, 0], grams.columns[:, side, np.arange(y.shape[0])]]
+    diagonal: np.ndarray         # P x M
 
 
 def sweep(gram, y, lam, alpha, grad, eps, changed=None):
@@ -194,7 +191,7 @@ def _sweep_lockstep(grams, y, lam, alpha, grad, eps, limit, changed):
     live = np.arange(alpha.shape[0])
     columns = grams.columns
     rows = columns[:, 0]
-    diag = diagonals(grams, y)
+    diag = grams.diagonal
     floor = CURVATURE_FLOOR * diag.max(axis=1)
     a, g = alpha, grad
     at = live

@@ -22,13 +22,17 @@ the call budget is exhausted, each call with a tighter violation
 tolerance than the last; a fit that stops early is returned flagged
 rather than raised, carrying the gap it reached.
 
-A round's K(K-1)/2 one-vs-one problems have one size, M = 2C for C
-clients, so ``fit_round`` fits them together: one check of the round,
-the Gram entries of every pair in one matrix, one lockstep kernel call
-per violation tolerance over the pairs still running, and the
-post-call arithmetic on stacked arrays. ``fit_ovo`` fits the same
-problems one ``fit_binary`` call at a time; it is the reference that
-``fit_round`` reproduces bit for bit.
+One loop, ``_fit_pairs``, fits every problem: P problems of one size M
+that read their Gram entries from one matrix (``backend.PairGrams``),
+one kernel call per violation tolerance over the problems still
+running, and the post-call arithmetic on stacked arrays. ``fit_binary``
+runs it on one problem and its own Gram matrix. A round's K(K-1)/2
+one-vs-one problems have one size, M = 2C for C clients, so
+``fit_round`` checks the round once, gathers every pair's Gram entries
+into one matrix and runs them all. ``fit_ovo`` fits the same problems
+one ``fit_binary`` call at a time, each on a Gram matrix of its own
+product: it is the reference for ``fit_round``'s round checks and round
+matrix, which ``fit_round`` reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -94,37 +98,16 @@ class BinarySvmModel:
     dual_history: tuple[float, ...] = field(default=(), repr=False)
 
 
-def _recover_bias(alphas: Tensor, margins_wo_bias: Tensor, y: Tensor,
-                  lam: float, alpha_tol: float) -> float:
-    """Bias from free support vectors, else midpoint of the KKT bracket;
-    ``alpha_tol`` is the fit's zero threshold for the coefficients."""
-    free = (alphas > alpha_tol) & (alphas < lam - alpha_tol)
-    residual = y - margins_wo_bias
-    if free.any():
-        residual = residual[free]
-        # The sum over the count is what np.mean computes, bit for bit.
-        return float(residual.sum() / residual.size)
-    # A bound vector at zero with y > 0, or at the cap with y < 0, bounds
-    # the bias from below; every other one bounds it from above.
-    below = (alphas <= alpha_tol) == (y > 0)
-    lower = residual[below]
-    upper = residual[~below]
-    if lower.size and upper.size:
-        return float((lower.max() + upper.min()) / 2.0)
-    if lower.size:
-        return float(lower.max())
-    if upper.size:
-        return float(upper.min())
-    return 0.0
-
-
 def _pair_gram(x: Tensor) -> Tensor:
     """The Gram matrix of one pair problem's samples, after the checks
     that the solver needs of them."""
     if (x == x[0]).all():
         raise ValueError("degenerate problem: all samples identical")
-    # Finite samples above about 1e154 overflow their inner products.
-    gram = check_finite(x @ x.T, "Gram matrix (sample inner products overflow)")
+    # Finite samples above about 1e154 overflow their inner products; the
+    # check names the overflow, so numpy need not warn of it.
+    with np.errstate(over="ignore"):
+        gram = x @ x.T
+    check_finite(gram, "Gram matrix (sample inner products overflow)")
     # The kernel divides by curvatures floored at a share of the largest
     # squared norm, so that share must not underflow to 0.
     if not backend.CURVATURE_FLOOR * np.diagonal(gram).max() > 0.0:
@@ -140,60 +123,92 @@ def fit_binary(problem: SvmProblem, max_iters: int | None = None,
     runs until the maximal KKT violation is at most a tolerance that
     starts at ``tol`` and shrinks a hundredfold per call while the duality
     gap stays at or above ``tol``. ``max_iters`` counts kernel calls
-    (default ``10 * M``), each of at most M(M-1)/2 pair updates.
+    (default ``10 * M``), each of at most M(M-1)/2 pair updates. The fit
+    is ``_fit_pairs`` on one problem whose Gram matrix is its own.
     """
     x = problem.samples
-    y = problem.labels
-    lam = float(problem.lam)
-    m = x.shape[0]
     gram = _pair_gram(x)
+    own = np.arange(x.shape[0])
+    grams = backend.PairGrams(gram, np.array([[own, own]]), np.diagonal(gram)[None])
+    return _fit_pairs(x, grams, problem.labels, float(problem.lam), max_iters, tol)[2][0]
+
+
+def _fit_pairs(samples: Tensor, grams: backend.PairGrams, y: np.ndarray, lam: float,
+               max_iters: int | None, tol: float):
+    """Fit the P problems of ``grams`` on the rows of ``samples``: the one
+    fit loop of ``fit_binary`` and ``fit_round``.
+
+    Each kernel call runs every problem still at or above ``tol`` at one
+    violation tolerance: a lone problem as a one-problem ``sweep`` on its
+    own Gram matrix and its rows of the state, several in lockstep. After
+    the call ``_pair_tails`` computes the running problems' normals,
+    biases, slacks and objectives. Returns the normals (P x d), the
+    support masks (P x M) and the P ``BinarySvmModel`` records.
+    """
+    count, _, m = grams.columns.shape
     if max_iters is None:
         max_iters = 10 * m
-
-    alphas = np.zeros(m)
-    grad = -np.ones(m)
+    side = (y < 0).astype(np.intp)
+    alphas = np.zeros((count, m))
+    grad = -np.ones((count, m))
+    normal = np.zeros((count, samples.shape[1]))
+    bias = np.zeros(count)
+    slacks = np.ones((count, m))
+    primal = np.full(count, lam * m)
+    dual = np.zeros(count)
+    gap = np.full(count, math.inf)
+    alpha_tol = np.zeros(count)
+    sweeps = np.zeros(count, dtype=np.int64)
+    history = [[] for _ in range(count)]
+    running = np.arange(count)
     eps = max(tol, EPS_FLOOR)
-
-    dual_history = []
-    sweeps = 0
-    gap = math.inf
-    normal = np.zeros(x.shape[1])
-    bias = 0.0
-    slacks = np.ones(m)
-    primal = lam * m
-    dual = 0.0
-    alpha_tol = 0.0
-    while sweeps < max_iters:
-        changed = backend.sweep(gram, y, lam, alphas, grad, eps)
-        sweeps += 1
-        alpha_tol = ALPHA_TOL * float(alphas.max())
-        normal = x.T @ (alphas * y)
-        margins_wo_bias = x @ normal
-        bias = _recover_bias(alphas, margins_wo_bias, y, lam, alpha_tol)
-        slacks = np.maximum(0.0, 1.0 - y * (margins_wo_bias + bias))
-        wsq = float(normal @ normal)
-        primal = 0.5 * wsq + lam * float(slacks.sum())
-        dual = float(alphas.sum()) - 0.5 * wsq
-        gap = (primal - dual) / max(1.0, abs(primal))
-        dual_history.append(dual)
-        if gap < tol or (changed == 0 and eps == EPS_FLOOR):
-            break
+    calls = 0
+    while running.size and calls < max_iters:
+        if running.size == 1:
+            p = running.item()
+            columns = grams.columns[p]
+            gram = grams.matrix[columns[0][:, None], columns[side]]
+            changed = backend.sweep(gram, y, lam, alphas[p], grad[p], eps)
+        else:
+            run_alphas, run_grad = alphas[running], grad[running]
+            changed = np.zeros(running.size, dtype=np.int64)
+            backend.sweep(grams._replace(columns=grams.columns[running],
+                                         diagonal=grams.diagonal[running]),
+                          y, lam, run_alphas, run_grad, eps, changed)
+            alphas[running] = run_alphas
+            grad[running] = run_grad
+        calls += 1
+        sweeps[running] = calls
+        (normal[running], bias[running], slacks[running], primal[running],
+         dual[running], gap[running], alpha_tol[running]) = _pair_tails(
+            samples, grams.columns[running, 0], alphas[running], y, lam)
+        for p, value in zip(running.tolist(), dual[running].tolist()):
+            history[p].append(value)
+        done = (gap[running] < tol) | ((changed == 0) & (eps == EPS_FLOOR))
+        running = running[~done]
         eps = max(0.01 * eps, EPS_FLOOR)
 
-    support = tuple((alphas > alpha_tol).nonzero()[0].tolist())
-    return BinarySvmModel(
-        normal=normal,
-        bias=bias,
-        alphas=alphas,
-        support_indices=support,
-        slacks=slacks,
-        primal_value=primal,
-        dual_value=dual,
-        duality_gap=gap,
-        converged=bool(gap < tol),
-        sweeps=sweeps,
-        dual_history=tuple(dual_history),
-    )
+    support = alphas > alpha_tol[:, None]
+    indices = support.nonzero()[1].tolist()
+    ends = np.cumsum(support.sum(axis=1)).tolist()
+    models = [
+        BinarySvmModel(
+            normal=normal[p],
+            bias=b,
+            alphas=alphas[p],
+            support_indices=tuple(indices[start:end]),
+            slacks=slacks[p],
+            primal_value=pv,
+            dual_value=dv,
+            duality_gap=gv,
+            converged=bool(gv < tol),
+            sweeps=n,
+            dual_history=tuple(history[p]),
+        )
+        for p, (start, end, b, pv, dv, gv, n) in enumerate(zip(
+            [0] + ends, ends, bias.tolist(), primal.tolist(), dual.tolist(),
+            gap.tolist(), sweeps.tolist()))]
+    return normal, support, models
 
 
 def class_pairs(num_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -308,12 +323,10 @@ def fit_round(class_embeddings, lam: float, max_iters: int | None = None,
     Takes what ``fit_ovo`` takes, or the round's K x C x d embedding
     array with the C client ``weights``, and returns what ``fit_ovo``
     returns, bit for bit: every pair reads the Gram entries its own
-    ``fit_binary`` computes, the kernel updates each pair as a call of its
-    own would, and the per-call tail is ``fit_binary``'s arithmetic on
-    stacked arrays. The round is checked once; a round that fails is
-    checked pair by pair in ``fit_ovo``'s order, to raise the same
-    pair-named error. Each kernel call runs every pair still above
-    ``tol`` at one violation tolerance.
+    ``fit_binary`` computes, and all pairs run through ``fit_binary``'s
+    loop, ``_fit_pairs``, together. The round is checked once; a round
+    that fails is checked pair by pair in ``fit_ovo``'s order, to raise
+    the same pair-named error.
     """
     x, weights = _round_inputs(class_embeddings, weights)
     num_classes, clients = x.shape[:2]
@@ -323,69 +336,12 @@ def fit_round(class_embeddings, lam: float, max_iters: int | None = None,
     if x.ndim != 3 or lam <= 0 or not np.isfinite(x).all() or _identical_pair(x):
         _check_pairs(x, pairs, y, lam)
     grams = _round_grams(x, first, second)
-    floors = backend.CURVATURE_FLOOR * backend.diagonals(grams, y).max(axis=1)
+    floors = backend.CURVATURE_FLOOR * grams.diagonal.max(axis=1)
     if not (np.isfinite(grams.matrix).all() and (floors > 0.0).all()):
         _check_pairs(x, pairs, y, lam)
-
-    lam = float(lam)
-    m = 2 * clients
-    count = len(pairs)
-    samples = x.reshape(num_classes * clients, -1)
-    if max_iters is None:
-        max_iters = 10 * m
-    alphas = np.zeros((count, m))
-    grad = -np.ones((count, m))
-    normal = np.zeros((count, samples.shape[1]))
-    bias = np.zeros(count)
-    slacks = np.ones((count, m))
-    primal = np.full(count, lam * m)
-    dual = np.zeros(count)
-    gap = np.full(count, math.inf)
-    alpha_tol = np.zeros(count)
-    sweeps = np.zeros(count, dtype=np.int64)
-    history = [[] for _ in pairs]
-    running = np.arange(count)
-    eps = max(tol, EPS_FLOOR)
-    calls = 0
-    while running.size and calls < max_iters:
-        run_alphas, run_grad = alphas[running], grad[running]
-        changed = np.zeros(running.size, dtype=np.int64)
-        backend.sweep(grams._replace(columns=grams.columns[running]), y, lam,
-                      run_alphas, run_grad, eps, changed)
-        calls += 1
-        alphas[running] = run_alphas
-        grad[running] = run_grad
-        sweeps[running] = calls
-        (normal[running], bias[running], slacks[running], primal[running],
-         dual[running], gap[running], alpha_tol[running]) = _pair_tails(
-            samples, grams.columns[running, 0], run_alphas, y, lam)
-        for p, value in zip(running.tolist(), dual[running].tolist()):
-            history[p].append(value)
-        done = (gap[running] < tol) | ((changed == 0) & (eps == EPS_FLOOR))
-        running = running[~done]
-        eps = max(0.01 * eps, EPS_FLOOR)
-
-    support = alphas > alpha_tol[:, None]
-    indices = support.nonzero()[1].tolist()
-    ends = np.cumsum(support.sum(axis=1)).tolist()
-    models = {}
-    for p, (pair, start, end, b, pv, dv, gv, n) in enumerate(zip(
-            pairs, [0] + ends, ends, bias.tolist(), primal.tolist(), dual.tolist(),
-            gap.tolist(), sweeps.tolist())):
-        models[pair] = BinarySvmModel(
-            normal=normal[p],
-            bias=b,
-            alphas=alphas[p],
-            support_indices=tuple(indices[start:end]),
-            slacks=slacks[p],
-            primal_value=pv,
-            dual_value=dv,
-            duality_gap=gv,
-            converged=bool(gv < tol),
-            sweeps=n,
-            dual_history=tuple(history[p]),
-        )
-    return OvoSvm(x, weights, normal, support, models)
+    normals, support, models = _fit_pairs(x.reshape(num_classes * clients, -1), grams, y,
+                                          float(lam), max_iters, tol)
+    return OvoSvm(x, weights, normals, support, dict(zip(pairs, models)))
 
 
 def _identical_pair(x: Tensor) -> bool:
@@ -431,22 +387,27 @@ def _round_grams(x: Tensor, first: np.ndarray, second: np.ndarray) -> backend.Pa
     for start in range(0, len(first), step):
         k, kp = first[start:start + step], second[start:start + step]
         stack = samples[rows[start:start + step]]
-        gram = stack @ stack.transpose(0, 2, 1)
+        with np.errstate(over="ignore"):
+            gram = stack @ stack.transpose(0, 2, 1)
         blocks[k, :, kp] = gram[:, :clients, clients:]
         blocks[kp, :, k] = gram[:, clients:, :clients]
         lead = kp == k + 1
         blocks[k[lead], :, k[lead]] = gram[lead, :clients, :clients]
         trail = k == 0
         blocks[kp[trail], :, num_classes] = gram[trail, clients:, clients:]
-    return backend.PairGrams(blocks.reshape(num_classes * clients, -1), columns)
+    matrix = blocks.reshape(num_classes * clients, -1)
+    # A sample's own entry sits in the columns its class reads as the
+    # negative half, which for the positive half are its own rows.
+    return backend.PairGrams(matrix, columns, matrix[rows, columns[:, 1]])
 
 
 def _pair_tails(samples: Tensor, rows: np.ndarray, alphas: Tensor, y: np.ndarray,
                 lam: float):
-    """``fit_binary``'s arithmetic after a kernel call, for a stack of
-    pairs: normal, bias, slacks, primal, dual, gap and zero threshold, one
-    row or entry per pair. Stacked ``matmul`` makes the same BLAS call per
-    pair that ``fit_binary``'s products make."""
+    """The arithmetic after a kernel call, for a stack of problems whose
+    samples are the ``rows`` of ``samples``: normal, bias, slacks, primal,
+    dual, gap and zero threshold, one row or entry per problem. Stacked
+    ``matmul`` makes one BLAS call per problem, so a problem's results do
+    not depend on the others in the stack."""
     count, m = alphas.shape
     alpha_tol = ALPHA_TOL * alphas.max(axis=1)
     weights = alphas * y
@@ -469,7 +430,9 @@ def _pair_tails(samples: Tensor, rows: np.ndarray, alphas: Tensor, y: np.ndarray
 
 def _recover_biases(alphas: Tensor, margins_wo_bias: Tensor, y: Tensor, lam: float,
                     alpha_tol: Tensor) -> Tensor:
-    """``_recover_bias`` for every row of a stack, bit for bit."""
+    """Each row's bias from its free support vectors (the mean of their
+    residuals), else the midpoint of its KKT bracket, or the one bound
+    that the bracket has; ``alpha_tol`` holds each row's zero threshold."""
     threshold = alpha_tol[:, None]
     free = (alphas > threshold) & (alphas < lam - threshold)
     residual = y - margins_wo_bias
@@ -483,7 +446,7 @@ def _recover_biases(alphas: Tensor, margins_wo_bias: Tensor, y: Tensor, lam: flo
     found = residual[free]
     start = np.cumsum(count) - count
     # A row's free residuals are summed as one contiguous row of their
-    # own, as residual[free].sum() sums them: rows of one count together.
+    # own, so no other row changes its sum: rows of one count together.
     for n in sorted(set(count.tolist()) - {0}):
         at = (count == n).nonzero()[0]
         bias[at] = found[start[at][:, None] + np.arange(n)].sum(axis=1) / n

@@ -1,5 +1,10 @@
 """``fit_round`` against its per-pair reference ``fit_ovo``.
 
+Both run every pair through the solver's one fit loop. ``fit_round``
+runs them together on the round's Gram matrix, ``fit_ovo`` one
+``fit_binary`` call at a time on each pair's own Gram product, so the
+two agree only if the round matrix holds each pair's own entries and
+the lockstep kernel updates each pair as the one-problem kernel would.
 The round entry must return the reference's models bit for bit and raise
 the reference's pair-named errors; a round of the ``svm_c32`` benchmark
 shape must fit without a stack of per-pair M x M matrices.
