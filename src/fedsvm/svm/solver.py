@@ -130,7 +130,8 @@ def fit_binary(problem: SvmProblem, max_iters: int | None = None,
     gram = _pair_gram(x)
     own = np.arange(x.shape[0])
     grams = backend.PairGrams(gram, np.array([[own, own]]), np.diagonal(gram)[None])
-    return _fit_pairs(x, grams, problem.labels, float(problem.lam), max_iters, tol)[2][0]
+    _, _, (model,) = _fit_pairs(x, grams, problem.labels, float(problem.lam), max_iters, tol)
+    return model
 
 
 def _fit_pairs(samples: Tensor, grams: backend.PairGrams, y: np.ndarray, lam: float,
