@@ -397,8 +397,8 @@ def _round_grams(x: Tensor, first: np.ndarray, second: np.ndarray) -> backend.Pa
         trail = k == 0
         blocks[kp[trail], :, num_classes] = gram[trail, clients:, clients:]
     matrix = blocks.reshape(num_classes * clients, -1)
-    # A sample's own entry sits in the columns its class reads as the
-    # negative half, which for the positive half are its own rows.
+    # Sample a's own entry is at (rows[a], columns[1, a]): the last block
+    # column for the negative half, its own row for the positive half.
     return backend.PairGrams(matrix, columns, matrix[rows, columns[:, 1]])
 
 
@@ -437,6 +437,8 @@ def _recover_biases(alphas: Tensor, margins_wo_bias: Tensor, y: Tensor, lam: flo
     threshold = alpha_tol[:, None]
     free = (alphas > threshold) & (alphas < lam - threshold)
     residual = y - margins_wo_bias
+    # A bound vector at zero with y > 0, or at the cap with y < 0, bounds
+    # the bias from below; every other one bounds it from above.
     below = (alphas <= threshold) == (y > 0)
     lower = np.where(below, residual, -np.inf).max(axis=1)
     upper = np.where(below, np.inf, residual).min(axis=1)
