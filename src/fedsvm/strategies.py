@@ -22,15 +22,7 @@ import numpy as np
 
 from .config import (FEDAVG, FEDAWS, FEDOPT, INCREASING, MOON, PROX, SVM_MARGIN,
                      ClientConfig, StrategyConfig)
-from .model import (
-    Batch,
-    Model,
-    encode,
-    encode_with_cache,
-    encoder_backward,
-    loss_and_gradient,
-    segment_bounds,
-)
+from .model import Batch, Model, encode, loss_and_gradient
 from .numerics import Tensor, check_finite, weighted_mean
 from .optim import (
     AMSGRAD,
@@ -153,19 +145,6 @@ def _contrast_embeddings(model: Model, global_model: Model, prev_models: Sequenc
     for prev, a, b in zip(prev_models, bounds[:-1].tolist(), bounds[1:].tolist()):
         z_p[a:b] = z_g[a:b] if prev is global_model else encode(prev, inputs[a:b])
     return z_g, z_p
-
-
-def moon_loss_and_gradient(model: Model, global_model: Model, prev_model: Model,
-                           inputs: Tensor, temperature: float) -> tuple[float, Model]:
-    """``moon_embedding_gradient`` of one batch, mean over the batch, and
-    its gradient for every parameter (zero for the logit matrix)."""
-    z, acts = encode_with_cache(model, inputs)
-    bounds = segment_bounds(None, z.shape[0])
-    z_g, z_p = _contrast_embeddings(model, global_model, [prev_model], inputs, z, bounds)
-    losses, dz = moon_embedding_gradient(z, z_g, z_p, temperature, bounds)
-    out = np.empty((1, model.params.size))
-    encoder_backward(model, acts, dz, bounds, out)
-    return float(losses[0]), model.with_params(out[0])
 
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) on 64-bit words.

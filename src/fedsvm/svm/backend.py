@@ -36,18 +36,16 @@ CURVATURE_FLOOR = 1e-12
 class PairGrams(NamedTuple):
     """The Gram matrices of P problems of M samples, read from one matrix.
 
-    ``columns[p, 0]`` holds the rows of ``matrix`` that stand for problem
-    p's samples; they are also the columns that a sample labelled +1
-    reads, while a sample labelled -1 reads ``columns[p, 1]``. So entry
-    (a, b) of problem p's Gram matrix is
-    ``matrix[columns[p, 0, a], columns[p, s, b]]``, with s = 0 for
-    y[a] = +1 and s = 1 for y[a] = -1. ``diagonal[p]`` is problem p's
-    Gram diagonal, gathered once per fit; a subset of the problems slices
-    it together with ``columns``.
+    ``rows[p]`` holds the rows of ``matrix`` that stand for problem p's
+    samples, and the same indices are its columns: entry (a, b) of
+    problem p's Gram matrix is ``matrix[rows[p, a], rows[p, b]]``,
+    whatever the labels. ``diagonal[p]`` is problem p's Gram diagonal,
+    gathered once per fit; a subset of the problems slices it together
+    with ``rows``.
     """
 
-    matrix: np.ndarray           # N x N'
-    columns: np.ndarray          # P x 2 x M, intp
+    matrix: np.ndarray           # N x N
+    rows: np.ndarray             # P x M, intp
     diagonal: np.ndarray         # P x M
 
 
@@ -179,18 +177,16 @@ def _sweep_lockstep(grams, y, lam, alpha, grad, eps, limit, changed):
     the sign of a zero, which no comparison or update can see.
     """
     positive = y > 0
-    side = (~positive).astype(np.intp)
     neg_y = -y
     # y * alpha is below up_cap where alpha may move along y, and above
     # low_floor where it may move against y: the sets I_up and I_low.
     up_cap = np.where(positive, lam, 0.0)
     low_floor = np.where(positive, 0.0, -lam)
     matrix = grams.matrix
-    # Per running problem: its row in alpha, its Gram rows and columns,
-    # its Gram diagonal and its curvature floor.
+    # Per running problem: its row in alpha, the indices of its Gram rows
+    # (also its columns), its Gram diagonal and its curvature floor.
     live = np.arange(alpha.shape[0])
-    columns = grams.columns
-    rows = columns[:, 0]
+    rows = grams.rows
     diag = grams.diagonal
     floor = CURVATURE_FLOOR * diag.max(axis=1)
     a, g = alpha, grad
@@ -198,7 +194,7 @@ def _sweep_lockstep(grams, y, lam, alpha, grad, eps, limit, changed):
     steps = 0
     while live.size and steps < limit:
         if live.size == 1:
-            gram = matrix[rows[0][:, None], columns[0][side]]
+            gram = matrix[rows[0][:, None], rows[0]]
             steps += _sweep_one(gram, y, lam, a[0], g[0], eps, limit - steps)
             break
         signed = a * y
@@ -210,7 +206,7 @@ def _sweep_lockstep(grams, y, lam, alpha, grad, eps, limit, changed):
         # Second-order gain b^2 / a over the indices that violate against i.
         np.maximum(violation, 0.0, out=violation)
         violation *= violation
-        row_i = matrix[rows[at, i][:, None], columns[at, side[i]]]
+        row_i = matrix[rows[at, i][:, None], rows]
         curvature = diag[at, i][:, None] + diag
         curvature -= 2.0 * row_i
         np.maximum(curvature, floor[:, None], out=curvature)
@@ -229,11 +225,10 @@ def _sweep_lockstep(grams, y, lam, alpha, grad, eps, limit, changed):
             live, a, g = live[keep], a[keep], g[keep]
             if not live.size:
                 break
-            columns, diag, floor = columns[keep], diag[keep], floor[keep]
-            rows = columns[:, 0]
+            rows, diag, floor = rows[keep], diag[keep], floor[keep]
             i, j, row_i, moves = i[keep], j[keep], row_i[keep], moves[keep]
             at = np.arange(live.size)
-        row_j = matrix[rows[at, j][:, None], columns[at, side[j]]]
+        row_j = matrix[rows[at, j][:, None], rows]
         step = moves[:, 2, None] * row_i
         step += moves[:, 3, None] * row_j
         step *= y

@@ -28,11 +28,12 @@ one kernel call per violation tolerance over the problems still
 running, and the post-call arithmetic on stacked arrays. ``fit_binary``
 runs it on one problem and its own Gram matrix. A round's K(K-1)/2
 one-vs-one problems have one size, M = 2C for C clients, so
-``fit_round`` checks the round once, gathers every pair's Gram entries
-into one matrix and runs them all. ``fit_ovo`` fits the same problems
-one ``fit_binary`` call at a time, each on a Gram matrix of its own
-product: it is the reference for ``fit_round``'s round checks and round
-matrix, which ``fit_round`` reproduces bit for bit.
+``fit_round`` forms the round's one Gram product over its K·C samples,
+checks it once and runs every pair on its block of it. ``fit_ovo`` fits
+the same problems one ``fit_binary`` call at a time, each on its own
+product, which BLAS may round differently from the pair's block of the
+round product in the last bit; the two agree to within the fits'
+duality gaps.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ DEFAULT_GAP_TOL = 1e-6
 # in margin units (the margin is 1), so this is about the precision of
 # double arithmetic whatever the scale of the samples.
 EPS_FLOOR = 1e-15
-# fit_round forms its per-pair products in stacks of at most this many
-# floats (128 KiB), or of one pair if that is larger, so no stack grows
-# with the number of pairs.
+# _pair_tails gathers the problems' samples in stacks of at most this
+# many floats (128 KiB), or of one problem if that is larger, so no
+# stack grows with the number of problems.
 STACK_FLOATS = 1 << 14
 
 
@@ -98,15 +99,16 @@ class BinarySvmModel:
     dual_history: tuple[float, ...] = field(default=(), repr=False)
 
 
-def _pair_gram(x: Tensor) -> Tensor:
-    """The Gram matrix of one pair problem's samples, after the checks
-    that the solver needs of them."""
+def _pair_gram(x: Tensor, gram: Tensor | None = None) -> Tensor:
+    """The Gram matrix of one pair problem's samples, ``x @ x.T`` unless
+    ``gram`` gives it, after the checks that the solver needs of them."""
     if (x == x[0]).all():
         raise ValueError("degenerate problem: all samples identical")
-    # Finite samples above about 1e154 overflow their inner products; the
-    # check names the overflow, so numpy need not warn of it.
-    with np.errstate(over="ignore"):
-        gram = x @ x.T
+    if gram is None:
+        # Finite samples above about 1e154 overflow their inner products;
+        # the check names the overflow, so numpy need not warn of it.
+        with np.errstate(over="ignore"):
+            gram = x @ x.T
     check_finite(gram, "Gram matrix (sample inner products overflow)")
     # The kernel divides by curvatures floored at a share of the largest
     # squared norm, so that share must not underflow to 0.
@@ -128,8 +130,7 @@ def fit_binary(problem: SvmProblem, max_iters: int | None = None,
     """
     x = problem.samples
     gram = _pair_gram(x)
-    own = np.arange(x.shape[0])
-    grams = backend.PairGrams(gram, np.array([[own, own]]), np.diagonal(gram)[None])
+    grams = backend.PairGrams(gram, np.arange(x.shape[0])[None], np.diagonal(gram)[None])
     _, _, (model,) = _fit_pairs(x, grams, problem.labels, float(problem.lam), max_iters, tol)
     return model
 
@@ -146,10 +147,9 @@ def _fit_pairs(samples: Tensor, grams: backend.PairGrams, y: np.ndarray, lam: fl
     biases, slacks and objectives. Returns the normals (P x d), the
     support masks (P x M) and the P ``BinarySvmModel`` records.
     """
-    count, _, m = grams.columns.shape
+    count, m = grams.rows.shape
     if max_iters is None:
         max_iters = 10 * m
-    side = (y < 0).astype(np.intp)
     alphas = np.zeros((count, m))
     grad = -np.ones((count, m))
     normal = np.zeros((count, samples.shape[1]))
@@ -167,13 +167,12 @@ def _fit_pairs(samples: Tensor, grams: backend.PairGrams, y: np.ndarray, lam: fl
     while running.size and calls < max_iters:
         if running.size == 1:
             p = running.item()
-            columns = grams.columns[p]
-            gram = grams.matrix[columns[0][:, None], columns[side]]
+            gram = grams.matrix[grams.rows[p][:, None], grams.rows[p]]
             changed = backend.sweep(gram, y, lam, alphas[p], grad[p], eps)
         else:
             run_alphas, run_grad = alphas[running], grad[running]
             changed = np.zeros(running.size, dtype=np.int64)
-            backend.sweep(grams._replace(columns=grams.columns[running],
+            backend.sweep(grams._replace(rows=grams.rows[running],
                                          diagonal=grams.diagonal[running]),
                           y, lam, run_alphas, run_grad, eps, changed)
             alphas[running] = run_alphas
@@ -182,7 +181,7 @@ def _fit_pairs(samples: Tensor, grams: backend.PairGrams, y: np.ndarray, lam: fl
         sweeps[running] = calls
         (normal[running], bias[running], slacks[running], primal[running],
          dual[running], gap[running], alpha_tol[running]) = _pair_tails(
-            samples, grams.columns[running, 0], alphas[running], y, lam)
+            samples, grams.rows[running], alphas[running], y, lam)
         for p, value in zip(running.tolist(), dual[running].tolist()):
             history[p].append(value)
         done = (gap[running] < tol) | ((changed == 0) & (eps == EPS_FLOOR))
@@ -259,40 +258,39 @@ class OvoSvm:
 
 def _round_inputs(class_embeddings, weights) -> tuple[Tensor, Tensor]:
     """The K x C x d embeddings and C client weights of a round, after
-    checking that there are K >= 2 classes and every class lists the same
-    C >= 1 clients with the same weights."""
-    if not isinstance(class_embeddings, Mapping):
-        x = np.array(class_embeddings, dtype=np.float64)
-        weights = np.array(weights, dtype=np.float64)
-        if x.ndim != 3 or x.shape[0] < 2 or x.shape[1] < 1 or weights.shape != x.shape[1:2]:
-            raise ValueError("need K >= 2 classes of C >= 1 embeddings in a K x C x d "
-                             "array, and C weights")
-        return x, weights
-    classes = sorted(class_embeddings.keys())
-    if classes != list(range(len(classes))) or len(classes) < 2:
-        raise ValueError("class_embeddings must cover classes 0..K-1, K >= 2")
-    entries = [list(class_embeddings[k]) for k in classes]
-    for k, listed in enumerate(entries):
-        if not listed:
-            raise ValueError(f"class {k} has no embeddings")
-    clients = len(entries[0])
-    for k, listed in enumerate(entries):
-        if len(listed) != clients:
-            raise ValueError(f"class {k} lists {len(listed)} clients, "
-                             f"class 0 lists {clients}")
-    weights = np.array([[float(w) for _, w in listed] for listed in entries])
-    for k, row in enumerate(weights):
-        if not np.array_equal(row, weights[0]):
-            raise ValueError(f"class {k} weighs its clients unlike class 0")
-    x = np.array([[e for e, _ in listed] for listed in entries], dtype=np.float64)
-    return x, weights[0]
+    checking that there are K >= 2 classes of d-vectors and every class
+    lists the same C >= 1 clients with the same weights."""
+    if isinstance(class_embeddings, Mapping):
+        classes = sorted(class_embeddings.keys())
+        if classes != list(range(len(classes))) or len(classes) < 2:
+            raise ValueError("class_embeddings must cover classes 0..K-1, K >= 2")
+        entries = [list(class_embeddings[k]) for k in classes]
+        for k, listed in enumerate(entries):
+            if not listed:
+                raise ValueError(f"class {k} has no embeddings")
+        clients = len(entries[0])
+        for k, listed in enumerate(entries):
+            if len(listed) != clients:
+                raise ValueError(f"class {k} lists {len(listed)} clients, "
+                                 f"class 0 lists {clients}")
+        weights = np.array([[float(w) for _, w in listed] for listed in entries])
+        for k, row in enumerate(weights):
+            if not np.array_equal(row, weights[0]):
+                raise ValueError(f"class {k} weighs its clients unlike class 0")
+        class_embeddings, weights = [[e for e, _ in listed] for listed in entries], weights[0]
+    x = np.array(class_embeddings, dtype=np.float64)
+    weights = np.array(weights, dtype=np.float64)
+    if x.ndim != 3 or x.shape[0] < 2 or x.shape[1] < 1 or weights.shape != x.shape[1:2]:
+        raise ValueError("need K >= 2 classes of C >= 1 embeddings in a K x C x d "
+                         "array, and C weights")
+    return x, weights
 
 
 def fit_ovo(class_embeddings: Mapping[int, Sequence[tuple[Tensor, float]]],
             lam: float, max_iters: int | None = None,
             tol: float = DEFAULT_GAP_TOL) -> OvoSvm:
     """Fit all K(K-1)/2 pair problems over per-class embedding lists, one
-    ``fit_binary`` call per pair: the per-pair reference for ``fit_round``.
+    ``fit_binary`` call per pair, each on the pair's own Gram product.
 
     Class k lists (embedding, weight) for each of the round's C clients;
     the position in the list is the client index, so every class lists
@@ -322,24 +320,25 @@ def fit_round(class_embeddings, lam: float, max_iters: int | None = None,
     """Fit all K(K-1)/2 pair problems of one round in lockstep.
 
     Takes what ``fit_ovo`` takes, or the round's K x C x d embedding
-    array with the C client ``weights``, and returns what ``fit_ovo``
-    returns, bit for bit: every pair reads the Gram entries its own
-    ``fit_binary`` computes, and all pairs run through ``fit_binary``'s
-    loop, ``_fit_pairs``, together. The round is checked once; a round
-    that fails is checked pair by pair in ``fit_ovo``'s order, to raise
-    the same pair-named error.
+    array with the C client ``weights``, and returns an ``OvoSvm`` of the
+    same pairs: every pair reads its block of the round's one Gram
+    product, and all pairs run through ``fit_binary``'s loop,
+    ``_fit_pairs``, together. The round is checked once; a round that
+    fails is checked pair by pair in ``fit_ovo``'s order, on the same
+    blocks, to raise the error that ``fit_ovo`` names.
     """
     x, weights = _round_inputs(class_embeddings, weights)
     num_classes, clients = x.shape[:2]
     first, second = class_pairs(num_classes)
     pairs = list(zip(first.tolist(), second.tolist()))
     y = np.concatenate((np.ones(clients), -np.ones(clients)))
-    if x.ndim != 3 or lam <= 0 or not np.isfinite(x).all() or _identical_pair(x):
-        _check_pairs(x, pairs, y, lam)
     grams = _round_grams(x, first, second)
     floors = backend.CURVATURE_FLOOR * grams.diagonal.max(axis=1)
-    if not (np.isfinite(grams.matrix).all() and (floors > 0.0).all()):
-        _check_pairs(x, pairs, y, lam)
+    # Non-finite samples make a non-finite diagonal, so the matrix check
+    # covers them.
+    if (lam <= 0 or _identical_pair(x) or not np.isfinite(grams.matrix).all()
+            or not (floors > 0.0).all()):
+        _check_pairs(x, grams, pairs, y, lam)
     normals, support, models = _fit_pairs(x.reshape(num_classes * clients, -1), grams, y,
                                           float(lam), max_iters, tol)
     return OvoSvm(x, weights, normals, support, dict(zip(pairs, models)))
@@ -352,54 +351,33 @@ def _identical_pair(x: Tensor) -> bool:
     return bool((firsts[:, None] == firsts).all(axis=2).sum() > len(firsts))
 
 
-def _check_pairs(x: Tensor, pairs, labels: np.ndarray, lam: float) -> None:
-    """Raise the first pair's error as ``fit_ovo`` would, if one fails."""
-    for k, kp in pairs:
+def _check_pairs(x: Tensor, grams: backend.PairGrams, pairs, labels: np.ndarray,
+                 lam: float) -> None:
+    """Raise the first pair's error as ``fit_ovo`` would, if one fails,
+    with ``_pair_gram``'s checks on the pair's block of ``grams``: the
+    entries that are checked are the entries that are fitted."""
+    for (k, kp), rows in zip(pairs, grams.rows):
         try:
-            _pair_gram(SvmProblem(np.concatenate((x[k], x[kp])), labels, lam).samples)
+            samples = SvmProblem(np.concatenate((x[k], x[kp])), labels, lam).samples
+            _pair_gram(samples, grams.matrix[rows[:, None], rows])
         except ValueError as err:
             raise ValueError(f"pair ({k}, {kp}): {err}") from err
 
 
 def _round_grams(x: Tensor, first: np.ndarray, second: np.ndarray) -> backend.PairGrams:
-    """Every pair's Gram matrix, each entry stored once per round.
-
-    BLAS rounds an entry of ``x @ x.T`` by where it sits in the product,
-    so a block of one K·C-sample product need not equal the pair's own.
-    The entries are therefore taken from products laid out as each pair's
-    samples are (class k's clients, then class k''s), formed in stacks of
-    pairs. The matrix has K·C rows and (K+1)·C columns: block (k, k')
-    holds class k's products with class k', from pair (k, k') or (k', k);
-    the diagonal block k holds class k's own products as a leading class
-    (from pair (k, k+1)), and the last block column holds them as a
-    trailing class (from pair (0, k)). The negative half of every pair
-    reads its own class's columns from that last block.
-    """
+    """The round's one Gram product over its K·C samples, with each pair's
+    rows of it: class k's clients, then class k''s, for pair (k, k')."""
     num_classes, clients, dim = x.shape
-    m = 2 * clients
     own = np.arange(clients)
     rows = np.concatenate((first[:, None] * clients + own,
                            second[:, None] * clients + own), axis=1)
-    columns = np.stack((rows, rows), axis=1)
-    columns[:, 1, clients:] = num_classes * clients + own
-    blocks = np.zeros((num_classes, clients, num_classes + 1, clients))
     samples = x.reshape(num_classes * clients, dim)
-    step = max(1, STACK_FLOATS // (m * max(m, dim)))
-    for start in range(0, len(first), step):
-        k, kp = first[start:start + step], second[start:start + step]
-        stack = samples[rows[start:start + step]]
-        with np.errstate(over="ignore"):
-            gram = stack @ stack.transpose(0, 2, 1)
-        blocks[k, :, kp] = gram[:, :clients, clients:]
-        blocks[kp, :, k] = gram[:, clients:, :clients]
-        lead = kp == k + 1
-        blocks[k[lead], :, k[lead]] = gram[lead, :clients, :clients]
-        trail = k == 0
-        blocks[kp[trail], :, num_classes] = gram[trail, clients:, clients:]
-    matrix = blocks.reshape(num_classes * clients, -1)
-    # Sample a's own entry is at (rows[a], columns[1, a]): the last block
-    # column for the negative half, its own row for the positive half.
-    return backend.PairGrams(matrix, columns, matrix[rows, columns[:, 1]])
+    # Finite samples above about 1e154 overflow their inner products, and
+    # non-finite samples make NaN; _check_pairs names both, so numpy need
+    # not warn of them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = samples @ samples.T
+    return backend.PairGrams(matrix, rows, np.diagonal(matrix)[rows])
 
 
 def _pair_tails(samples: Tensor, rows: np.ndarray, alphas: Tensor, y: np.ndarray,

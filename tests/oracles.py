@@ -1,15 +1,19 @@
 """Test oracles: a central-difference gradient, the relative error the
 gradient checks compare with, the closed-form lower bound on the
-projected logit gap of a binary SVM, and the per-pair loops that the
-server's SVM stage computes as arrays. Only the test suite imports this.
+projected logit gap of a binary SVM, the per-pair loops that the
+server's SVM stage computes as arrays, the per-pair fit of a round on
+its one Gram product, and the per-client contrastive loss that cohort
+training computes for a whole cohort. Only the test suite imports this.
 """
 
 from typing import Callable
 
 import numpy as np
 
+from fedsvm.model import Model, encode_with_cache, encoder_backward, segment_bounds
 from fedsvm.numerics import Tensor, as_tensor, weighted_mean
-from fedsvm.svm import BinarySvmModel, OvoSvm
+from fedsvm.strategies import _contrast_embeddings, moon_embedding_gradient
+from fedsvm.svm import BinarySvmModel, OvoSvm, backend, class_pairs, solver
 
 
 def finite_difference_gradient(f: Callable[[Tensor], float], x: Tensor,
@@ -124,3 +128,49 @@ def spreadout_loss(logit_matrix: Tensor,
         grad[k] -= coef * h
         grad[kp] += coef * h
     return float(loss), grad
+
+
+def round_product_fit(class_embeddings, lam: float, max_iters: int | None = None,
+                      tol: float = solver.DEFAULT_GAP_TOL) -> OvoSvm:
+    """``fit_round``'s per-pair reference on the round's one Gram product.
+
+    Each pair (k, k') is fitted on its own by the solver's fit loop, as a
+    one-problem ``PairGrams`` on its block of ``samples @ samples.T`` over
+    the round's K·C samples (class k's clients, then class k''s),
+    copied out as the pair's own M x M matrix, the way ``fit_binary``
+    fits its own product.
+    """
+    x, weights = solver._round_inputs(class_embeddings, None)
+    classes, clients, dim = x.shape
+    samples = x.reshape(classes * clients, dim)
+    matrix = samples @ samples.T
+    labels = np.concatenate((np.ones(clients), -np.ones(clients)))
+    own = np.arange(clients)
+    first, second = class_pairs(classes)
+    models = {}
+    for k, kp in zip(first.tolist(), second.tolist()):
+        rows = np.concatenate((k * clients + own, kp * clients + own))
+        gram = matrix[np.ix_(rows, rows)]
+        grams = backend.PairGrams(gram, np.arange(2 * clients)[None], np.diagonal(gram)[None])
+        _, _, (models[(k, kp)],) = solver._fit_pairs(samples[rows], grams, labels,
+                                                     float(lam), max_iters, tol)
+    normals = np.array([model.normal for model in models.values()])
+    support = np.zeros((len(models), 2 * clients), dtype=bool)
+    for p, model in enumerate(models.values()):
+        model.normal = normals[p]
+        support[p, list(model.support_indices)] = True
+    return OvoSvm(x, weights, normals, support, models)
+
+
+def moon_loss_and_gradient(model: Model, global_model: Model, prev_model: Model,
+                           inputs: Tensor, temperature: float) -> tuple[float, Model]:
+    """``strategies.moon_embedding_gradient`` of one batch for one client,
+    mean over the batch, and its gradient for every parameter (zero for
+    the logit matrix): the per-client reference for cohort training."""
+    z, acts = encode_with_cache(model, inputs)
+    bounds = segment_bounds(None, z.shape[0])
+    z_g, z_p = _contrast_embeddings(model, global_model, [prev_model], inputs, z, bounds)
+    losses, dz = moon_embedding_gradient(z, z_g, z_p, temperature, bounds)
+    out = np.empty((1, model.params.size))
+    encoder_backward(model, acts, dz, bounds, out)
+    return float(losses[0]), model.with_params(out[0])

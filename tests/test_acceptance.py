@@ -29,13 +29,17 @@ from fedsvm.optim import SGD
 from fedsvm.strategies import (
     ServerState,
     fedaws_penalty,
-    moon_loss_and_gradient,
     run_round,
     spreadout_loss,
 )
 from fedsvm.svm import SvmProblem, fit_binary
 
-from oracles import finite_difference_gradient, relative_error, verify_logit_bound
+from oracles import (
+    finite_difference_gradient,
+    moon_loss_and_gradient,
+    relative_error,
+    verify_logit_bound,
+)
 from qp_oracle import primal_oracle
 
 

@@ -1,21 +1,30 @@
-"""``fit_round`` against its per-pair reference ``fit_ovo``.
+"""``fit_round`` against its per-pair references.
 
-Both run every pair through the solver's one fit loop. ``fit_round``
-runs them together on the round's Gram matrix, ``fit_ovo`` one
-``fit_binary`` call at a time on each pair's own Gram product, so the
-two agree only if the round matrix holds each pair's own entries and
-the lockstep kernel updates each pair as the one-problem kernel would.
-The round entry must return the reference's models bit for bit and raise
-the reference's pair-named errors; a round of the ``svm_c32`` benchmark
-shape must fit without a stack of per-pair M x M matrices.
+All of them run every pair through the solver's one fit loop.
+``fit_round`` runs the pairs together, each on its block of the round's
+one Gram product; ``oracles.round_product_fit`` runs each pair alone on
+that block, so the two agree only if every pair reads its own rows of
+the product and the lockstep kernel updates each pair as the
+one-problem kernel would. ``fit_ovo`` runs one ``fit_binary`` call per
+pair on the pair's own product, which BLAS rounds like the pair's block
+of the round product except at some shapes. The round entry must
+return the same-product reference's models bit for bit on every case,
+``fit_ovo``'s wherever the products agree and ``fit_ovo``'s normals to
+within the duality gaps elsewhere, and raise ``fit_ovo``'s pair-named
+errors; a round of the ``svm_c32`` benchmark shape must fit without a
+stack of per-pair M x M matrices.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsvm.svm import fit_ovo, fit_round
+
+from oracles import round_product_fit
 
 
 def round_embeddings(classes, clients, dim, seed, spread=0.3, scale=1.0):
@@ -59,8 +68,9 @@ CASES = {
     "two_classes": (round_embeddings(2, 6, 3, 0), 1.0, {}),
     # C = 1: every pair problem has M = 2.
     "one_client": (round_embeddings(5, 1, 4, 1), 1.0, {}),
-    # C = 5, K = 3: BLAS rounds some entries of one 15-sample product
-    # differently from the pairs' own 10-sample products.
+    # C = 5, K = 3: BLAS rounds some entries of the round's 15-sample
+    # product differently from the pairs' own 10-sample products, so
+    # fit_ovo is not a bitwise reference here.
     "unaligned_blocks": (round_embeddings(3, 5, 16, 2), 1.0, {}),
     "lam_small": (round_embeddings(4, 8, 6, 3), 1e-2, {}),
     "lam_one": (round_embeddings(4, 8, 6, 3), 1.0, {}),
@@ -77,11 +87,48 @@ CASES = {
 }
 
 
+def bitwise_reference(case):
+    return round_product_fit if case == "unaligned_blocks" else fit_ovo
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_round_fit_equals_per_pair_reference(case):
     embeddings, lam, kwargs = CASES[case]
-    assert_same_fit(fit_ovo(embeddings, lam, **kwargs),
+    assert_same_fit(bitwise_reference(case)(embeddings, lam, **kwargs),
                     fit_round(embeddings, lam, **kwargs))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_round_fit_equals_same_product_reference(case):
+    embeddings, lam, kwargs = CASES[case]
+    assert_same_fit(round_product_fit(embeddings, lam, **kwargs),
+                    fit_round(embeddings, lam, **kwargs))
+
+
+def gap_radius(model):
+    """sqrt(2g) for the fit's absolute duality gap g: the primal is
+    1-strongly convex in w, so the optimal normal lies within it."""
+    return np.sqrt(2.0 * model.duality_gap * max(1.0, abs(model.primal_value)))
+
+
+def test_unaligned_blocks_agree_with_fit_ovo_within_the_gap():
+    embeddings, lam, kwargs = CASES["unaligned_blocks"]
+    reference, fitted = fit_ovo(embeddings, lam, **kwargs), fit_round(embeddings, lam, **kwargs)
+    assert fitted.pairs() == reference.pairs()
+    for pair in reference.pairs():
+        want, got = reference.models[pair], fitted.models[pair]
+        assert want.converged and got.converged, pair
+        assert np.linalg.norm(got.normal - want.normal) <= gap_radius(got) + gap_radius(want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(classes=st.integers(2, 9), clients=st.integers(1, 12), dim=st.integers(1, 69),
+       scale=st.floats(1e-3, 1e3), lam=st.floats(1e-3, 1e2), seed=st.integers(0, 2**32 - 1))
+def test_round_fit_equals_same_product_reference_at_any_shape(classes, clients, dim, scale,
+                                                              lam, seed):
+    embeddings = {k: [(scale * e, w) for e, w in listed]
+                  for k, listed in round_embeddings(classes, clients, dim, seed).items()}
+    assert_same_fit(round_product_fit(embeddings, lam), fit_round(embeddings, lam))
 
 
 @pytest.mark.parametrize("case", ["unaligned_blocks", "many_support_vectors"])
@@ -91,7 +138,7 @@ def test_round_fit_takes_the_stacked_round(case):
     weights = [w for _, w in embeddings[0]]
     # The layout of run_round's client buffer: one client per row.
     rows = np.ascontiguousarray(x.transpose(1, 0, 2))
-    assert_same_fit(fit_ovo(embeddings, lam, **kwargs),
+    assert_same_fit(bitwise_reference(case)(embeddings, lam, **kwargs),
                     fit_round(rows.transpose(1, 0, 2), lam, weights=weights, **kwargs))
 
 
@@ -177,6 +224,14 @@ def test_error_messages_name_the_pair_and_cause():
         "pair (0, 1): Gram matrix underflows")
     assert raised(fit_round, *ERRORS["unequal_weights"]) == (
         "class 1 weighs its clients unlike class 0")
+
+
+@pytest.mark.parametrize("embedding", [1.0, [[1.0, 0.0]]])
+def test_embeddings_that_are_not_vectors_are_checked(embedding):
+    embeddings = {k: [(embedding, 1.0)] for k in range(2)}
+    expected = raised(fit_ovo, embeddings, 1.0)
+    assert expected.startswith("need K >= 2 classes of C >= 1 embeddings")
+    assert raised(fit_round, embeddings, 1.0) == expected
 
 
 def test_unequal_client_lists_name_the_class():

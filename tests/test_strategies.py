@@ -21,7 +21,6 @@ from fedsvm.strategies import (
     fedaws_penalty,
     fedaws_regularize,
     fedopt_step,
-    moon_loss_and_gradient,
     penalty_value,
     pseudo_gradient,
     run_round,
@@ -32,7 +31,7 @@ from fedsvm.strategies import (
 )
 from fedsvm.svm import BinarySvmModel, OvoSvm, fit_ovo
 
-from oracles import finite_difference_gradient, relative_error
+from oracles import finite_difference_gradient, moon_loss_and_gradient, relative_error
 
 
 def tiny_model(seed=0, input_dim=4, hidden=5, emb=3, classes=3):
