@@ -16,9 +16,7 @@ def confusion(model: Model, dataset: FederatedDataset) -> np.ndarray:
     features, labels = heldout_pool(dataset)
     preds = predict(model, features)
     k = model.num_classes
-    cm = np.zeros((k, k), dtype=np.int64)
-    np.add.at(cm, (labels, preds), 1)
-    return cm
+    return np.bincount(labels * k + preds, minlength=k * k).reshape(k, k)
 
 
 def _validated(cm) -> np.ndarray:
@@ -38,16 +36,12 @@ def macro_f1(cm) -> float:
     predicted instances contributes 0, keeping the score deterministic on
     skewed held-out pools."""
     cm = _validated(cm)
-    k = cm.shape[0]
-    scores = np.zeros(k)
-    for c in range(k):
-        tp = cm[c, c]
-        predicted = cm[:, c].sum()
-        actual = cm[c, :].sum()
-        precision = tp / predicted if predicted > 0 else 0.0
-        recall = tp / actual if actual > 0 else 0.0
-        if precision + recall > 0:
-            scores[c] = 2.0 * precision * recall / (precision + recall)
+    tp = np.diagonal(cm)
+    predicted, actual = cm.sum(axis=0), cm.sum(axis=1)
+    precision = np.divide(tp, predicted, out=np.zeros_like(tp), where=predicted > 0)
+    recall = np.divide(tp, actual, out=np.zeros_like(tp), where=actual > 0)
+    both = precision + recall
+    scores = np.divide(2.0 * precision * recall, both, out=np.zeros_like(tp), where=both > 0)
     return float(scores.mean())
 
 

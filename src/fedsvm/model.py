@@ -6,12 +6,13 @@ The forward map is ``logits(x) = G(x) @ W.T`` where ``G`` is the encoder
 ``K x d`` logit matrix. Class inference is the argmax of the inner
 products, i.e. nearest class embedding under the dot-product metric.
 Gradients are hand-derived; a finite-difference oracle checks them in
-the test suite.
+the test suite. Their one entry, ``loss_and_gradient``, takes rows,
+labels and the bounds of the segments (one client's batch each) that
+share the parameters, and writes one gradient row per segment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -80,20 +81,6 @@ class Model:
         return self.with_params(self.params.copy())
 
 
-@dataclass
-class Batch:
-    inputs: Tensor   # B x P
-    labels: np.ndarray  # length B, ints in [0, K)
-
-    def __post_init__(self):
-        self.inputs = as_tensor(self.inputs)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
-            raise ValueError("batch inputs must be a nonempty B x P matrix")
-        if self.labels.shape != (self.inputs.shape[0],):
-            raise ValueError("labels length must equal batch size")
-
-
 def init_model(input_dim: int, hidden_dims: Sequence[int], embedding_dim: int,
                num_classes: int, rng: np.random.Generator) -> Model:
     """Fan-balanced uniform init for weights, zero biases.
@@ -157,17 +144,6 @@ def encode_with_cache(model: Model, inputs: Tensor):
     return h, acts
 
 
-def segment_bounds(bounds, rows: int) -> np.ndarray:
-    """Row offsets ``[b_0 = 0, ..., b_S = rows]`` of S nonempty segments;
-    ``None`` is the whole batch as one segment."""
-    if bounds is None:
-        return np.array([0, rows])
-    bounds = np.asarray(bounds, dtype=np.int64)
-    if bounds[0] != 0 or bounds[-1] != rows or np.any(np.diff(bounds) < 1):
-        raise ValueError(f"segment bounds {bounds} do not split {rows} rows")
-    return bounds
-
-
 def encoder_backward(model: Model, acts, d_emb: Tensor, bounds, out: Tensor) -> None:
     """Backpropagate a gradient w.r.t. the embeddings to all encoder
     parameters, one gradient per segment; ``acts`` are the layer inputs
@@ -196,47 +172,40 @@ def encoder_backward(model: Model, acts, d_emb: Tensor, bounds, out: Tensor) -> 
             dh = dz @ model.encoder[i][0]
 
 
-def loss_and_gradient(model: Model, batch: Batch, bounds=None, out: Tensor | None = None,
-                      embedding_term=None):
-    """Mean softmax cross-entropy and its gradients for every parameter.
+def loss_and_gradient(model: Model, inputs: Tensor, labels: np.ndarray, bounds: np.ndarray,
+                      out: Tensor, embedding_term=None) -> Tensor:
+    """Mean softmax cross-entropy and its gradients for every parameter,
+    per segment.
 
-    The batch may hold the batches of several clients that share these
-    parameters: ``bounds`` gives the S + 1 row offsets of the segments
-    (see ``encoder_backward``). Every row is divided by its own
-    segment's length, so each segment's gradient is that of its own
-    mean loss; the forward pass is one matrix product per layer over
-    all rows. With ``bounds``, returns the S segment losses and ``out``
-    (S x P) holding the gradients. Without, the batch is one segment
-    and the result is the loss and a model-shaped gradient container.
-    ``embedding_term(emb, bounds)``, when given, returns the gradient of
-    a further loss on the embeddings; it joins the encoder's backward
-    pass, and its value is not part of the returned loss.
-
-    The softmax is max-shifted, so overflow cannot occur; a non-finite
-    loss of a single segment is reported as an error rather than
-    propagated, and the segmented caller checks its losses itself.
+    The B rows of ``inputs`` (with ``labels`` in [0, K)) may hold the
+    batches of several clients that share these parameters: ``bounds``
+    gives the S + 1 row offsets of the segments (see
+    ``encoder_backward``). Every row is divided by its own segment's
+    length, so each segment's gradient is that of its own mean loss;
+    the forward pass is one matrix product per layer over all rows.
+    Writes each segment's gradient to its row of ``out`` (S x P) and
+    returns the S segment losses, which the caller checks for
+    non-finite values. ``embedding_term(emb, bounds)``, when given,
+    returns the gradient of a further loss on the embeddings; it joins
+    the encoder's backward pass, and its value is not part of the
+    returned losses. The softmax is max-shifted, so overflow cannot
+    occur.
     """
-    x = batch.inputs
-    y = batch.labels
-    if y.min() < 0 or y.max() >= model.num_classes:
+    if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError("labels out of range")
-    whole = bounds is None
-    bounds = segment_bounds(bounds, x.shape[0])
     sizes = np.diff(bounds)
-    if out is None:
-        out = np.empty((sizes.size, model.params.size))
 
-    emb, acts = encode_with_cache(model, x)
+    emb, acts = encode_with_cache(model, inputs)
     # Class-major (K x B) scores, so the softmax reduces across rows.
     probs = _softmax(model.logit_matrix @ emb.T, axis=0)
-    rows = np.arange(x.shape[0])
-    log_picked = np.log(np.maximum(probs[y, rows], 1e-300))
+    rows = np.arange(labels.size)
+    log_picked = np.log(np.maximum(probs[labels, rows], 1e-300))
     losses = -np.add.reduceat(log_picked, bounds[:-1]) / sizes
 
     # The score gradient is (probs - onehot(y)) / B, built in place, with
     # B the length of each row's segment.
     dscores = probs
-    dscores[y, rows] -= 1.0
+    dscores[labels, rows] -= 1.0
     dscores /= np.repeat(sizes, sizes)
     d_emb = dscores.T @ model.logit_matrix
     if embedding_term is not None:
@@ -245,9 +214,4 @@ def loss_and_gradient(model: Model, batch: Batch, bounds=None, out: Tensor | Non
     start, end, shape = model._spans[-1]
     for row, a, b in zip(out, bounds[:-1].tolist(), bounds[1:].tolist()):
         np.matmul(dscores[:, a:b], emb[a:b], out=row[start:end].reshape(shape))
-    if not whole:
-        return losses, out
-    loss = float(losses[0])
-    if not np.isfinite(loss):
-        raise ValueError("non-finite loss")
-    return loss, model.with_params(out[0])
+    return losses

@@ -4,8 +4,11 @@ adaptive pseudo-gradient optimizers, cosine spread-out regularization,
 and SVM-guided selective aggregation with max-margin spread-out
 regularization on the class embeddings).
 
-A round samples clients, trains each on its own data starting from the
-global model, then applies the configured server strategy. The engine
+A round samples clients, trains them as one cohort, each on its own
+data starting from the global model (every step is one
+``model.loss_and_gradient`` call per group of clients at the same
+parameters, one segment per client), then applies the configured
+server strategy. The engine
 runs from the [client] and [strategy] config sections themselves,
 ``ClientConfig`` and ``StrategyConfig`` of ``config``. Strategy state (server
 optimizer moments, per-client previous models for the contrastive
@@ -22,7 +25,7 @@ import numpy as np
 
 from .config import (FEDAVG, FEDAWS, FEDOPT, INCREASING, MOON, PROX, SVM_MARGIN,
                      ClientConfig, StrategyConfig)
-from .model import Batch, Model, encode, loss_and_gradient
+from .model import Model, encode, loss_and_gradient
 from .numerics import Tensor, check_finite, weighted_mean
 from .optim import (
     AMSGRAD,
@@ -172,7 +175,7 @@ def batch_orders(seed: int, t: int, clients: Sequence[int], sizes: Sequence[int]
     the whole cohort is ordered in one pass.
     """
     key = _splitmix64(_splitmix64(_splitmix64(seed) ^ t) ^ epoch)
-    keys = np.array([_splitmix64(key ^ int(n)) for n in clients], dtype=np.uint64)
+    keys = _splitmix64(np.uint64(key) ^ np.asarray(clients, dtype=np.uint64))
     sizes = np.asarray(sizes)
     owner = np.repeat(np.arange(sizes.size), sizes)
     offsets = np.cumsum(sizes) - sizes
@@ -213,7 +216,8 @@ def _group_gradients(model: Model, members: list[int], picks: list[np.ndarray],
     ``grads``; returns their losses. With ``prev_models``, the
     contrastive gradient scaled by ``moon_coeff`` joins each backward
     pass. One forward and backward runs per chunk of at most
-    ``COHORT_ROWS`` rows."""
+    ``COHORT_ROWS`` rows: ``loss_and_gradient`` on the chunk's
+    concatenated rows and labels, one segment per member."""
     counts = [picks[c].size for c in members]
     losses = np.empty(len(members))
     for lo, hi in _chunks(counts):
@@ -230,8 +234,8 @@ def _group_gradients(model: Model, members: list[int], picks: list[np.ndarray],
                 dz *= config.moon_coeff
                 return dz
 
-        losses[lo:hi], _ = loss_and_gradient(model, Batch(x, y), np.cumsum([0] + counts[lo:hi]),
-                                             grads[lo:hi], embedding_term=moon)
+        losses[lo:hi] = loss_and_gradient(model, x, y, np.cumsum([0] + counts[lo:hi]),
+                                          grads[lo:hi], embedding_term=moon)
     return losses
 
 

@@ -2,15 +2,16 @@
 gradient checks compare with, the closed-form lower bound on the
 projected logit gap of a binary SVM, the per-pair loops that the
 server's SVM stage computes as arrays, the per-pair fit of a round on
-its one Gram product, and the per-client contrastive loss that cohort
-training computes for a whole cohort. Only the test suite imports this.
+its one Gram product, and the per-client cross-entropy and contrastive
+losses that cohort training computes for a whole cohort, each on one
+segment. Only the test suite imports this.
 """
 
 from typing import Callable
 
 import numpy as np
 
-from fedsvm.model import Model, encode_with_cache, encoder_backward, segment_bounds
+from fedsvm.model import Model, encode_with_cache, encoder_backward, loss_and_gradient
 from fedsvm.numerics import Tensor, as_tensor, weighted_mean
 from fedsvm.strategies import _contrast_embeddings, moon_embedding_gradient
 from fedsvm.svm import BinarySvmModel, OvoSvm, backend, class_pairs, solver
@@ -162,15 +163,35 @@ def round_product_fit(class_embeddings, lam: float, max_iters: int | None = None
     return OvoSvm(x, weights, normals, support, models)
 
 
+def one_segment(model: Model, rows: int, fill) -> tuple[float, Model]:
+    """A batch of ``rows`` rows as the one segment ``[0, rows]``:
+    ``fill(bounds, out)`` writes its gradient to the one row of ``out``
+    and returns its loss. Returns the loss as a float and the gradient
+    as a model-shaped container, the per-client reference form."""
+    out = np.empty((1, model.params.size))
+    losses = fill(np.array([0, rows]), out)
+    return float(losses[0]), model.with_params(out[0])
+
+
+def batch_loss_and_gradient(model: Model, inputs: Tensor,
+                            labels: np.ndarray) -> tuple[float, Model]:
+    """``model.loss_and_gradient`` of one client's batch: its mean
+    cross-entropy and the gradient for every parameter."""
+    return one_segment(model, labels.size,
+                       lambda bounds, out: loss_and_gradient(model, inputs, labels, bounds, out))
+
+
 def moon_loss_and_gradient(model: Model, global_model: Model, prev_model: Model,
                            inputs: Tensor, temperature: float) -> tuple[float, Model]:
     """``strategies.moon_embedding_gradient`` of one batch for one client,
     mean over the batch, and its gradient for every parameter (zero for
     the logit matrix): the per-client reference for cohort training."""
     z, acts = encode_with_cache(model, inputs)
-    bounds = segment_bounds(None, z.shape[0])
-    z_g, z_p = _contrast_embeddings(model, global_model, [prev_model], inputs, z, bounds)
-    losses, dz = moon_embedding_gradient(z, z_g, z_p, temperature, bounds)
-    out = np.empty((1, model.params.size))
-    encoder_backward(model, acts, dz, bounds, out)
-    return float(losses[0]), model.with_params(out[0])
+
+    def fill(bounds, out):
+        z_g, z_p = _contrast_embeddings(model, global_model, [prev_model], inputs, z, bounds)
+        losses, dz = moon_embedding_gradient(z, z_g, z_p, temperature, bounds)
+        encoder_backward(model, acts, dz, bounds, out)
+        return losses
+
+    return one_segment(model, z.shape[0], fill)

@@ -19,12 +19,7 @@ from fedsvm.config import PROX, ClientConfig, StrategyConfig, SyntheticSpec, par
 from fedsvm.data import generate_synthetic
 from fedsvm.harness import compare_strategies, run_experiment, sv_sweep
 from fedsvm.metrics import accuracy, macro_f1, mcc
-from fedsvm.model import (
-    Batch,
-    encode,
-    init_model,
-    loss_and_gradient,
-)
+from fedsvm.model import encode, init_model
 from fedsvm.optim import SGD
 from fedsvm.strategies import (
     ServerState,
@@ -35,6 +30,7 @@ from fedsvm.strategies import (
 from fedsvm.svm import SvmProblem, fit_binary
 
 from oracles import (
+    batch_loss_and_gradient,
     finite_difference_gradient,
     moon_loss_and_gradient,
     relative_error,
@@ -139,10 +135,9 @@ def test_criterion_1_gradient_oracles():
         model = init_model(5, [6], 4, 3, np.random.default_rng(trial))
         x = rng.standard_normal((4, 5))
         y = rng.integers(0, 3, size=4)
-        batch = Batch(x, y)
-        _, grads = loss_and_gradient(model, batch)
+        _, grads = batch_loss_and_gradient(model, x, y)
         fd = finite_difference_gradient(
-            lambda f: loss_and_gradient(model.with_params(f), batch)[0],
+            lambda f: batch_loss_and_gradient(model.with_params(f), x, y)[0],
             model.params.copy())
         worst["ce"] = max(worst["ce"], relative_error(grads.params, fd))
 

@@ -87,8 +87,9 @@ def test_centralized_training_saturates_on_separated_task():
     # Sanity oracle: when classes are far apart relative to noise, plain
     # centralized SGD on the pooled training clients nails the held-out
     # clients.
-    from fedsvm.model import Batch, init_model, loss_and_gradient, predict
+    from fedsvm.model import init_model, predict
     from fedsvm.optim import sgd_state, sgd_step
+    from oracles import batch_loss_and_gradient
 
     ds = generate_synthetic(spec(num_clients=10, class_separation=10.0,
                                  noise_sigma=0.1, samples_per_client_mean=50))
@@ -102,7 +103,7 @@ def test_centralized_training_saturates_on_separated_task():
         order = rng.permutation(x.shape[0])
         for start in range(0, len(order), 32):
             idx = order[start:start + 32]
-            _, grads = loss_and_gradient(model, Batch(x[idx], y[idx]))
+            _, grads = batch_loss_and_gradient(model, x[idx], y[idx])
             model = model.with_params(sgd_step(model.params, grads.params, opt))
     held_x, held_y = heldout_pool(ds)
     acc = float(np.mean(predict(model, held_x) == held_y))

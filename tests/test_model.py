@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 
 from fedsvm.model import (
-    Batch,
     Model,
     _softmax,
     encode,
     init_model,
     logits,
-    loss_and_gradient,
     predict,
 )
 from fedsvm.strategies import pseudo_gradient
 
-from oracles import finite_difference_gradient, relative_error
+from oracles import batch_loss_and_gradient, finite_difference_gradient, relative_error
 
 
 def small_model(seed=0, input_dim=5, hidden=6, emb=4, classes=3):
@@ -25,7 +23,7 @@ def random_batch(model, seed=0, size=4):
     rng = np.random.default_rng(seed + 1000)
     x = rng.standard_normal((size, model.input_dim))
     y = rng.integers(0, model.num_classes, size=size)
-    return Batch(x, y)
+    return x, y
 
 
 def test_identity_single_layer_encoder():
@@ -84,8 +82,7 @@ def test_predict_invariant_under_per_sample_logit_shift():
 
 def test_uniform_logits_loss_is_log2():
     m = Model([(np.zeros((2, 3)), np.zeros(2))], np.zeros((2, 2)))
-    batch = Batch(np.ones((4, 3)), np.array([0, 1, 0, 1]))
-    loss, _ = loss_and_gradient(m, batch)
+    loss, _ = batch_loss_and_gradient(m, np.ones((4, 3)), np.array([0, 1, 0, 1]))
     assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
 
@@ -94,8 +91,7 @@ def test_loss_vanishes_with_growing_margin():
     for margin in (1.0, 10.0, 100.0):
         logit = np.array([[margin, 0.0], [0.0, margin]]) / margin * margin
         m = Model([(np.eye(2), np.zeros(2))], logit)
-        batch = Batch(np.eye(2), np.array([0, 1]))
-        losses.append(loss_and_gradient(m, batch)[0])
+        losses.append(batch_loss_and_gradient(m, np.eye(2), np.array([0, 1]))[0])
     assert losses[0] > losses[1] > losses[2]
     assert losses[2] < 1e-10
 
@@ -113,10 +109,10 @@ def test_gradients_match_finite_differences():
     for trial in range(20):
         model = small_model(trial)
         batch = random_batch(model, trial)
-        _, grads = loss_and_gradient(model, batch)
+        _, grads = batch_loss_and_gradient(model, *batch)
 
         def loss_of(flat, template=model, batch=batch):
-            return loss_and_gradient(template.with_params(flat), batch)[0]
+            return batch_loss_and_gradient(template.with_params(flat), *batch)[0]
 
         fd = finite_difference_gradient(loss_of, model.params.copy())
         err = relative_error(grads.params, fd)
@@ -185,9 +181,8 @@ def test_structural_compatibility_is_equivalence_like():
 
 def test_labels_out_of_range_rejected():
     m = small_model(1)
-    batch = Batch(np.zeros((1, m.input_dim)), np.array([m.num_classes]))
     with pytest.raises(ValueError):
-        loss_and_gradient(m, batch)
+        batch_loss_and_gradient(m, np.zeros((1, m.input_dim)), np.array([m.num_classes]))
 
 
 def test_encode_shape_mismatch():

@@ -107,8 +107,11 @@ def test_round_fit_equals_same_product_reference(case):
 
 def gap_radius(model):
     """sqrt(2g) for the fit's absolute duality gap g: the primal is
-    1-strongly convex in w, so the optimal normal lies within it."""
-    return np.sqrt(2.0 * model.duality_gap * max(1.0, abs(model.primal_value)))
+    1-strongly convex in w, so the optimal normal lies within it. The
+    relative gap is clamped at 0 and widened by 4 eps, the rounding of
+    its own computation, which can leave a converged gap just below 0."""
+    gap = max(model.duality_gap, 0.0) + 4.0 * np.finfo(np.float64).eps
+    return np.sqrt(2.0 * gap * max(1.0, abs(model.primal_value)))
 
 
 def test_unaligned_blocks_agree_with_fit_ovo_within_the_gap():
@@ -119,6 +122,59 @@ def test_unaligned_blocks_agree_with_fit_ovo_within_the_gap():
         want, got = reference.models[pair], fitted.models[pair]
         assert want.converged and got.converged, pair
         assert np.linalg.norm(got.normal - want.normal) <= gap_radius(got) + gap_radius(want)
+
+
+# Rounds for the invariance properties below. Each property compares
+# two fits of one problem up to a symmetry, so the optimal normals
+# agree and each fit's normal lies within its gap radius of the
+# optimum; nothing is asserted of the support sets, which a 1e-6 gap
+# does not fix.
+ROUNDS = dict(classes=st.integers(2, 6), clients=st.integers(1, 12), dim=st.integers(1, 16),
+              scale=st.floats(1e-3, 1e3), lam=st.floats(1e-2, 1e2),
+              seed=st.integers(0, 2**32 - 1))
+
+
+def scaled_round(classes, clients, dim, scale, seed):
+    return {k: [(scale * e, w) for e, w in listed]
+            for k, listed in round_embeddings(classes, clients, dim, seed).items()}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**ROUNDS)
+def test_class_swap_negates_the_pair_normal(classes, clients, dim, scale, lam, seed):
+    embeddings = scaled_round(classes, clients, dim, scale, seed)
+    swapped = {**embeddings, 0: embeddings[1], 1: embeddings[0]}
+    want, got = fit_round(embeddings, lam).models[(0, 1)], fit_round(swapped, lam).models[(0, 1)]
+    assert np.linalg.norm(got.normal + want.normal) <= gap_radius(got) + gap_radius(want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**ROUNDS, order_seed=st.integers(0, 2**32 - 1))
+def test_client_permutation_keeps_every_pair_normal(classes, clients, dim, scale, lam, seed,
+                                                    order_seed):
+    embeddings = scaled_round(classes, clients, dim, scale, seed)
+    order = np.random.default_rng(order_seed).permutation(clients)
+    permuted = {k: [listed[i] for i in order] for k, listed in embeddings.items()}
+    reference, fitted = fit_round(embeddings, lam), fit_round(permuted, lam)
+    for pair in reference.pairs():
+        want, got = reference.models[pair], fitted.models[pair]
+        assert np.linalg.norm(got.normal - want.normal) <= gap_radius(got) + gap_radius(want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**ROUNDS, factor=st.floats(1e-3, 1e3))
+def test_scaled_samples_scale_every_pair_normal(classes, clients, dim, scale, lam, seed,
+                                                factor):
+    # Samples x s with lambda / s^2 is the same problem in w' = w / s,
+    # its primal divided by s^2, so the reference normal's radius
+    # shrinks by s too.
+    reference = fit_round(scaled_round(classes, clients, dim, scale, seed), lam)
+    fitted = fit_round(scaled_round(classes, clients, dim, scale * factor, seed),
+                       lam / factor**2)
+    for pair in reference.pairs():
+        want, got = reference.models[pair], fitted.models[pair]
+        assert (np.linalg.norm(got.normal - want.normal / factor)
+                <= gap_radius(got) + gap_radius(want) / factor)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

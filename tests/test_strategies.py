@@ -11,7 +11,7 @@ from fedsvm.config import (
     SyntheticSpec,
 )
 from fedsvm.data import generate_synthetic
-from fedsvm.model import Batch, Model, encode, init_model, loss_and_gradient
+from fedsvm.model import Model, encode, init_model
 from fedsvm.optim import SGD, adam_state, sgd_state, sgd_step
 from fedsvm.strategies import (
     ServerState,
@@ -31,7 +31,12 @@ from fedsvm.strategies import (
 )
 from fedsvm.svm import BinarySvmModel, OvoSvm, fit_ovo
 
-from oracles import finite_difference_gradient, moon_loss_and_gradient, relative_error
+from oracles import (
+    batch_loss_and_gradient,
+    finite_difference_gradient,
+    moon_loss_and_gradient,
+    relative_error,
+)
 
 
 def tiny_model(seed=0, input_dim=4, hidden=5, emb=3, classes=3):
@@ -61,8 +66,7 @@ def test_single_batch_vanilla_equals_manual_step():
     trained, _ = client_update(model, [data], cfg, 77, 0, (0,))
 
     order = batch_orders(77, 0, (0,), (6,), 0)
-    batch = Batch(data[0][order], data[1][order])
-    _, grads = loss_and_gradient(model, batch)
+    _, grads = batch_loss_and_gradient(model, data[0][order], data[1][order])
     manual = sgd_step(model.params, grads.params, sgd_state(0.1))
     assert np.array_equal(trained[0], manual)
 
@@ -111,14 +115,13 @@ def reference_client_update(global_model, data, config, seed, t, clients, prev_m
             order = batch_orders(seed, t, (n,), (labels.size,), epoch)
             for start in range(0, labels.size, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                batch = Batch(features[idx], labels[idx])
-                _, grads = loss_and_gradient(model, batch)
+                _, grads = batch_loss_and_gradient(model, features[idx], labels[idx])
                 grad = grads.params
                 if config.variant == PROX:
                     grad += config.prox_mu * (model.params - global_model.params)
                 if config.variant == MOON:
                     _, moon = moon_loss_and_gradient(model, global_model, prev_models[i],
-                                                     batch.inputs, config.moon_temperature)
+                                                     features[idx], config.moon_temperature)
                     grad += config.moon_coeff * moon.params
                 model = model.with_params(sgd_step(model.params, grad, opt))
         rows.append(model.params)
