@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fedsvm.optim import BETA2, adam_state, amsgrad_state, adam_step, sgd_state, sgd_step
+from fedsvm.optim import (BETA2, adam_state, amsgrad_state, adam_step, optimizer_step,
+                          sgd_state, sgd_step)
 
 
 def test_sgd_single_step():
@@ -75,6 +76,17 @@ def test_amsgrad_max_moment_nondecreasing():
         params = adam_step(params, rng.standard_normal(3), state)
         assert np.all(state.max_second_moment >= prev)
         prev = state.max_second_moment.copy()
+
+
+def test_adam_rejects_params_shaped_unlike_its_moments():
+    # The moments take the shape of the first step's parameters; a later
+    # step on another shape fails and is not counted.
+    state = adam_state(0.1)
+    optimizer_step(np.zeros(2), np.ones(2), state)
+    with pytest.raises(ValueError, match="optimizer moments"):
+        optimizer_step(np.zeros(3), np.ones(3), state)
+    assert state.step_count == 1
+    assert state.first_moment.shape == (2,)
 
 
 def test_kind_checks():

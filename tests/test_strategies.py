@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from fedsvm.config import (
+    _STRATEGIES,
     DECREASING,
+    FEDAVG,
     INCREASING,
     MOON,
     PROX,
@@ -634,6 +636,20 @@ def test_round_rewrites_only_its_own_aggregate(name):
         trained = server.prev_models[n]
         assert not np.shares_memory(trained.params, new_model.params)
         assert np.array_equal(trained.params, row)
+
+
+@pytest.mark.parametrize("name, strategy", [
+    *((name, {}) for name in _STRATEGIES), ("fedopt", {"server_optimizer": SGD}),
+])
+def test_server_state_starts_a_fresh_optimizer_of_the_configured_kind(name, strategy):
+    server = make_server(name, **strategy)
+    st = server.strategy
+    if st.kind == FEDAVG:
+        assert server.opt is None
+    else:
+        opt = server.opt
+        assert (opt.kind, opt.learning_rate, opt.step_count) == (
+            st.optimizer, st.learning_rate, 0)
 
 
 def test_reset_server_state_restarts_the_server_optimizer(monkeypatch):
