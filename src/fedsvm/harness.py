@@ -126,9 +126,9 @@ def run_experiment(cfg: RunConfig, output_dir=None) -> ExperimentResult:
     only itself; remaining seeds still run."""
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    diag_path = out / "svm_diag.txt" if cfg.strategy.svm_diagnostics else None
-    if diag_path is not None and diag_path.exists():
-        diag_path.unlink()
+    diag_path = out / "svm_diag.txt"
+    diag_path.unlink(missing_ok=True)  # an earlier run's, also when this run writes none
+    diag_path = diag_path if cfg.strategy.svm_diagnostics else None
 
     seed_results: list[SeedResult] = []
     failed: list[tuple[int, str]] = []

@@ -422,6 +422,17 @@ def test_svm_diagnostics_dump(tmp_path):
             assert f"# seed 0 round {t}\n" in diag
 
 
+def test_run_without_diagnostics_removes_an_earlier_dump(tmp_path):
+    # Diagnostics beside fresh CSVs must come from the same run.
+    path = write_config(tmp_path, strategy="svm_margin", rounds=2)
+    cfg = parse_config(path)
+    out = tmp_path / "out"
+    run_experiment(replace(cfg, strategy=replace(cfg.strategy, svm_diagnostics=True)), out)
+    assert (out / "svm_diag.txt").exists()
+    run_experiment(cfg, out)
+    assert not (out / "svm_diag.txt").exists()
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
