@@ -27,15 +27,7 @@ from .config import (FEDAVG, FEDAWS, FEDOPT, INCREASING, MOON, PROX, SVM_MARGIN,
                      ClientConfig, StrategyConfig)
 from .model import Model, encode, loss_and_gradient
 from .numerics import Tensor, check_finite, weighted_mean
-from .optim import (
-    AMSGRAD,
-    SGD,
-    OptimizerState,
-    adam_state,
-    amsgrad_state,
-    optimizer_step,
-    sgd_state,
-)
+from .optim import SGD, OptimizerState, optimizer_step
 from .svm import OvoSvm, class_pairs, fit_round
 
 log = logging.getLogger(__name__)
@@ -56,13 +48,7 @@ def _make_server_optimizer(strategy: StrategyConfig) -> OptimizerState | None:
     """The server step's optimizer; fedavg has none."""
     if strategy.kind == FEDAVG:
         return None
-    lr = strategy.learning_rate
-    if strategy.optimizer == SGD:
-        log.warning("server optimizer is SGD: degenerate averaging-like update")
-        return sgd_state(lr)
-    if strategy.optimizer == AMSGRAD:
-        return amsgrad_state(lr)
-    return adam_state(lr)
+    return OptimizerState(strategy.optimizer, strategy.learning_rate)
 
 
 @dataclass
@@ -76,7 +62,10 @@ class ServerState:
 
     @classmethod
     def create(cls, strategy: StrategyConfig, total_rounds: int) -> "ServerState":
-        return cls(strategy, total_rounds, _make_server_optimizer(strategy))
+        opt = _make_server_optimizer(strategy)
+        if opt is not None and opt.kind == SGD:
+            log.warning("server optimizer is SGD: degenerate averaging-like update")
+        return cls(strategy, total_rounds, opt)
 
     def maybe_reset(self):
         if self.strategy.reset_server_state:

@@ -88,7 +88,7 @@ def test_centralized_training_saturates_on_separated_task():
     # centralized SGD on the pooled training clients nails the held-out
     # clients.
     from fedsvm.model import init_model, predict
-    from fedsvm.optim import sgd_state, sgd_step
+    from fedsvm.optim import SGD, OptimizerState, optimizer_step
     from oracles import batch_loss_and_gradient
 
     ds = generate_synthetic(spec(num_clients=10, class_separation=10.0,
@@ -97,14 +97,14 @@ def test_centralized_training_saturates_on_separated_task():
     y = np.concatenate([ds.clients[i][1] for i in ds.train_client_indices])
     model = init_model(ds.feature_dim, [16], 8, ds.num_classes,
                        np.random.default_rng(0))
-    opt = sgd_state(0.2)
+    opt = OptimizerState(SGD, 0.2)
     rng = np.random.default_rng(1)
     for _ in range(60):
         order = rng.permutation(x.shape[0])
         for start in range(0, len(order), 32):
             idx = order[start:start + 32]
             _, grads = batch_loss_and_gradient(model, x[idx], y[idx])
-            model = model.with_params(sgd_step(model.params, grads.params, opt))
+            model = model.with_params(optimizer_step(model.params, grads.params, opt))
     held_x, held_y = heldout_pool(ds)
     acc = float(np.mean(predict(model, held_x) == held_y))
     assert acc >= 0.99

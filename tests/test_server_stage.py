@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fedsvm.numerics import weighted_mean
-from fedsvm.optim import adam_state, optimizer_step
+from fedsvm.optim import ADAM, OptimizerState, optimizer_step
 from fedsvm.strategies import selective_aggregate, spreadout_loss, spreadout_regularize
 from fedsvm.svm import fit_round
 
@@ -56,12 +56,12 @@ def test_spreadout_regularize_equals_the_per_pair_loop(shape, lam, seed, spread,
     start, _ = selective_aggregate(svm)
     normals = {pair: svm.models[pair].normal for pair in svm.pairs()}
     want, want_losses = start, []
-    state = adam_state(1e-2)
+    state = OptimizerState(ADAM, 1e-2)
     for _ in range(reg_steps):
         loss, grad = oracles.spreadout_loss(want, normals)
         want_losses.append(loss)
         want = optimizer_step(want, grad, state)
-    got, losses = spreadout_regularize(start, svm, adam_state(1e-2), reg_steps)
+    got, losses = spreadout_regularize(start, svm, OptimizerState(ADAM, 1e-2), reg_steps)
     assert np.array(losses).tobytes() == np.array(want_losses).tobytes()
     assert got.tobytes() == want.tobytes()
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from fedsvm.config import (
 )
 from fedsvm.data import generate_synthetic
 from fedsvm.model import Model, encode, init_model
-from fedsvm.optim import SGD, adam_state, sgd_state, sgd_step
+from fedsvm.optim import ADAM, AMSGRAD, SGD, OptimizerState, optimizer_step
 from fedsvm.strategies import (
     ServerState,
     batch_orders,
@@ -69,7 +71,7 @@ def test_single_batch_vanilla_equals_manual_step():
 
     order = batch_orders(77, 0, (0,), (6,), 0)
     _, grads = batch_loss_and_gradient(model, data[0][order], data[1][order])
-    manual = sgd_step(model.params, grads.params, sgd_state(0.1))
+    manual = optimizer_step(model.params, grads.params, OptimizerState(SGD, 0.1))
     assert np.array_equal(trained[0], manual)
 
 
@@ -112,7 +114,7 @@ def reference_client_update(global_model, data, config, seed, t, clients, prev_m
     rows = []
     for i, (n, (features, labels)) in enumerate(zip(clients, data)):
         model = global_model
-        opt = sgd_state(config.learning_rate)
+        opt = OptimizerState(SGD, config.learning_rate)
         for epoch in range(config.epochs):
             order = batch_orders(seed, t, (n,), (labels.size,), epoch)
             for start in range(0, labels.size, config.batch_size):
@@ -125,7 +127,7 @@ def reference_client_update(global_model, data, config, seed, t, clients, prev_m
                     _, moon = moon_loss_and_gradient(model, global_model, prev_models[i],
                                                      features[idx], config.moon_temperature)
                     grad += config.moon_coeff * moon.params
-                model = model.with_params(sgd_step(model.params, grad, opt))
+                model = model.with_params(optimizer_step(model.params, grad, opt))
         rows.append(model.params)
     return np.array(rows)
 
@@ -251,23 +253,22 @@ def test_pseudo_gradient_definition():
 def test_fedopt_adam_moves_along_delta():
     model = tiny_model(14)
     delta = np.ones(model.params.size)
-    out = fedopt_step(model, delta, adam_state(0.1))
+    out = fedopt_step(model, delta, OptimizerState(ADAM, 0.1))
     moved = out.params - model.params
     assert np.allclose(moved, 0.1, atol=1e-7)
 
 
 def test_fedopt_zero_delta_first_step_noop():
     model = tiny_model(15)
-    out = fedopt_step(model, np.zeros(model.params.size), adam_state(0.1))
+    out = fedopt_step(model, np.zeros(model.params.size), OptimizerState(ADAM, 0.1))
     assert np.array_equal(out.params, model.params)
 
 
 def test_fedopt_amsgrad_first_step_equals_adam():
     model = tiny_model(16)
     delta = np.random.default_rng(4).standard_normal(model.params.size)
-    a = fedopt_step(model, delta, adam_state(0.05))
-    from fedsvm.optim import amsgrad_state
-    b = fedopt_step(model, delta, amsgrad_state(0.05))
+    a = fedopt_step(model, delta, OptimizerState(ADAM, 0.05))
+    b = fedopt_step(model, delta, OptimizerState(AMSGRAD, 0.05))
     assert np.array_equal(a.params, b.params)
 
 
@@ -279,7 +280,7 @@ def test_fedaws_orthogonal_rows_no_change():
     w = np.eye(3)
     loss, grad = fedaws_penalty(w)
     assert loss == 0.0 and np.all(grad == 0.0)
-    out = fedaws_regularize(w, adam_state(0.1))
+    out = fedaws_regularize(w, OptimizerState(ADAM, 0.1))
     assert np.array_equal(out, w)
 
 
@@ -399,7 +400,7 @@ def test_spreadout_regularize_strictly_decreases_loss():
     ovo = fit_ovo(embeddings, 1.0)
     w, _ = selective_aggregate(ovo)
     for steps in (1, 5, 10):
-        _, losses = spreadout_regularize(w, ovo, adam_state(1e-3), steps)
+        _, losses = spreadout_regularize(w, ovo, OptimizerState(ADAM, 1e-3), steps)
         assert len(losses) == steps
         assert all(b < a for a, b in zip(losses, losses[1:])), losses
 
@@ -650,6 +651,20 @@ def test_server_state_starts_a_fresh_optimizer_of_the_configured_kind(name, stra
         opt = server.opt
         assert (opt.kind, opt.learning_rate, opt.step_count) == (
             st.optimizer, st.learning_rate, 0)
+
+
+def test_degenerate_sgd_warning_is_logged_once_per_run(caplog):
+    # Resetting the server optimizer every round does not repeat it.
+    dataset = small_dataset(9)
+    model = init_model(dataset.feature_dim, [5], 3, dataset.num_classes,
+                       np.random.default_rng(9))
+    with caplog.at_level(logging.WARNING, logger="fedsvm.strategies"):
+        server = make_server("fedopt", total_rounds=3, server_optimizer=SGD,
+                             reset_server_state=True)
+        for t in range(3):
+            model, _ = run_round(t, model, dataset, server, ClientConfig(), 3, seed=31)
+    assert [r.getMessage() for r in caplog.records] == [
+        "server optimizer is SGD: degenerate averaging-like update"]
 
 
 def test_reset_server_state_restarts_the_server_optimizer(monkeypatch):
