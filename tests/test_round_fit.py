@@ -139,7 +139,7 @@ def scaled_round(classes, clients, dim, scale, seed):
             for k, listed in round_embeddings(classes, clients, dim, seed).items()}
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(**ROUNDS)
 def test_class_swap_negates_the_pair_normal(classes, clients, dim, scale, lam, seed):
     embeddings = scaled_round(classes, clients, dim, scale, seed)
@@ -148,7 +148,7 @@ def test_class_swap_negates_the_pair_normal(classes, clients, dim, scale, lam, s
     assert np.linalg.norm(got.normal + want.normal) <= gap_radius(got) + gap_radius(want)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(**ROUNDS, order_seed=st.integers(0, 2**32 - 1))
 def test_client_permutation_keeps_every_pair_normal(classes, clients, dim, scale, lam, seed,
                                                     order_seed):
@@ -161,7 +161,7 @@ def test_client_permutation_keeps_every_pair_normal(classes, clients, dim, scale
         assert np.linalg.norm(got.normal - want.normal) <= gap_radius(got) + gap_radius(want)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(**ROUNDS, factor=st.floats(1e-3, 1e3))
 def test_scaled_samples_scale_every_pair_normal(classes, clients, dim, scale, lam, seed,
                                                 factor):
@@ -177,7 +177,7 @@ def test_scaled_samples_scale_every_pair_normal(classes, clients, dim, scale, la
                 <= gap_radius(got) + gap_radius(want) / factor)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(classes=st.integers(2, 9), clients=st.integers(1, 12), dim=st.integers(1, 69),
        scale=st.floats(1e-3, 1e3), lam=st.floats(1e-3, 1e2), seed=st.integers(0, 2**32 - 1))
 def test_round_fit_equals_same_product_reference_at_any_shape(classes, clients, dim, scale,
