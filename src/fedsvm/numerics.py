@@ -39,8 +39,9 @@ def weighted_mean(arrays: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
     single array, or of identical arrays, exactly the input; the fixed
     order makes the reduction reproducible. ``arrays`` may be the rows
     of one 2-D array; the sum builds in place with one scratch row.
-    Callers that must agree bitwise (full-model averaging vs. per-row
-    selective averaging) all route through this function.
+    ``strategies.selective_aggregate`` computes the same arithmetic on
+    stacked arrays, and ``tests/test_server_stage.py`` checks that the
+    two agree bit for bit.
     """
     if len(arrays) == 0:
         raise ValueError("weighted_mean of empty sequence")

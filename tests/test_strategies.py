@@ -653,7 +653,7 @@ def test_server_state_starts_a_fresh_optimizer_of_the_configured_kind(name, stra
             st.optimizer, st.learning_rate, 0)
 
 
-def test_degenerate_sgd_warning_is_logged_once_per_run(caplog):
+def test_degenerate_sgd_warning_is_not_repeated_by_resets(caplog):
     # Resetting the server optimizer every round does not repeat it.
     dataset = small_dataset(9)
     model = init_model(dataset.feature_dim, [5], 3, dataset.num_classes,
