@@ -1,6 +1,7 @@
 """The run config: one dataclass per INI section ([dataset], [model],
-[client], [strategy], [run]) whose fields are its keys, types and
-defaults, and the parser that fills them from a file.
+[client], [strategy], [run]) whose fields are its keys, named as in the
+file, with their types and defaults, and the parser that fills them
+from a file. ``RunConfig`` also holds the other four sections.
 
 Every section checks its own values when it is built, ``replace``
 included, and raises ``ConfigError`` naming ``<section>.<key>`` by its
@@ -45,19 +46,26 @@ def heldout_count(num_clients: int) -> int:
 
 
 @dataclass
-class SyntheticSpec:
-    num_clients: int = 40
-    num_classes: int = 8
+class DatasetConfig:
+    """[dataset]: the synthetic generator's keys, then the idx file pair
+    and its partition. The generation seed is the run seed."""
+
+    kind: str = "synthetic"
+    clients: int = 40
+    classes: int = 8
     feature_dim: int = 32
     samples_per_client_mean: int = 60
     samples_per_client_spread: int = 20
     dirichlet_alpha: float = 0.1
     class_separation: float = 3.0
     noise_sigma: float = 1.0
-    seed: int = 0
+    images: str = ""
+    labels: str = ""
+    partition_clients: int = 40
+    partition_alpha: float = 0.5
 
     def __post_init__(self):
-        if self.num_clients < 2 or self.num_classes < 2:
+        if self.clients < 2 or self.classes < 2:
             raise ConfigError("dataset.clients and dataset.classes must be >= 2")
         if self.feature_dim < 1 or self.samples_per_client_mean < 1:
             raise ConfigError(
@@ -67,20 +75,6 @@ class SyntheticSpec:
         if self.dirichlet_alpha <= 0 or self.class_separation <= 0 or self.noise_sigma <= 0:
             raise ConfigError("dataset.dirichlet_alpha, dataset.class_separation and "
                               "dataset.noise_sigma must be positive")
-
-
-@dataclass
-class DatasetConfig:
-    """[dataset]; the synthetic generator's keys fill ``synthetic``."""
-
-    kind: str = "synthetic"
-    synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
-    images: str = ""
-    labels: str = ""
-    partition_clients: int = 40
-    partition_alpha: float = 0.5
-
-    def __post_init__(self):
         if self.kind not in ("synthetic", "idx"):
             raise ConfigError(f"dataset.kind: expected synthetic or idx, got {self.kind!r}")
         if self.kind == "idx" and not (self.images and self.labels):
@@ -234,7 +228,7 @@ class RunConfig:
     @property
     def num_clients(self) -> int:
         if self.dataset.kind == "synthetic":
-            return self.dataset.synthetic.num_clients
+            return self.dataset.clients
         return self.dataset.partition_clients
 
     @property
@@ -264,29 +258,22 @@ class RunConfig:
 # Parsing
 # ---------------------------------------------------------------------------
 
-# INI section -> the dataclasses whose scalar fields are its keys.
+# INI section -> the dataclass whose scalar fields are its keys.
 _SECTIONS = {
-    "dataset": (DatasetConfig, SyntheticSpec),
-    "model": (ModelConfig,),
-    "client": (ClientConfig,),
-    "strategy": (StrategyConfig,),
-    "run": (RunConfig,),
+    "dataset": DatasetConfig,
+    "model": ModelConfig,
+    "client": ClientConfig,
+    "strategy": StrategyConfig,
+    "run": RunConfig,
 }
-# SyntheticSpec fields under another INI key; the generation seed is the
-# run seed and has no key.
-_SYNTHETIC_KEYS = {"num_clients": "clients", "num_classes": "classes", "seed": None}
 
 
-def _section_keys(section: str) -> dict[str, tuple[type, str, object]]:
-    """INI key -> (dataclass, field name, field type) for one section."""
-    keys = {}
-    for cls in _SECTIONS[section]:
-        hints = typing.get_type_hints(cls)
-        for f in dataclasses.fields(cls):
-            key = _SYNTHETIC_KEYS.get(f.name, f.name) if cls is SyntheticSpec else f.name
-            if key and not dataclasses.is_dataclass(hints[f.name]):
-                keys[key] = (cls, f.name, hints[f.name])
-    return keys
+def _section_keys(section: str) -> dict[str, object]:
+    """INI key -> field type for one section."""
+    cls = _SECTIONS[section]
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)
+            if not dataclasses.is_dataclass(hints[f.name])}
 
 
 def _typed(section: str, key: str, raw: str, kind):
@@ -314,7 +301,7 @@ def parse_config(path) -> RunConfig:
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from err
 
-    values = {cls: {} for classes in _SECTIONS.values() for cls in classes}
+    values = {section: {} for section in _SECTIONS}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
@@ -322,12 +309,7 @@ def parse_config(path) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in keys:
                 raise ConfigError(f"{section}.{key}: unknown key")
-            cls, name, kind = keys[key]
-            values[cls][name] = _typed(section, key, raw, kind)
+            values[section][key] = _typed(section, key, raw, keys[key])
 
-    synthetic = SyntheticSpec(**values[SyntheticSpec])
-    return RunConfig(**values[RunConfig],
-                     dataset=DatasetConfig(**values[DatasetConfig], synthetic=synthetic),
-                     model=ModelConfig(**values[ModelConfig]),
-                     client=ClientConfig(**values[ClientConfig]),
-                     strategy=StrategyConfig(**values[StrategyConfig]))
+    sections = {name: cls(**values[name]) for name, cls in _SECTIONS.items() if name != "run"}
+    return RunConfig(**values["run"], **sections)

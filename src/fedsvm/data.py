@@ -14,7 +14,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .config import SyntheticSpec, heldout_count
+from .config import DatasetConfig, heldout_count
 from .numerics import Tensor
 
 ClientData = tuple[Tensor, np.ndarray]  # (features n x P, labels n)
@@ -60,30 +60,32 @@ def _split_clients(num_clients: int, rng: np.random.Generator):
     return train, heldout
 
 
-def generate_synthetic(spec: SyntheticSpec) -> FederatedDataset:
-    """Gaussian-blob classification task with Dirichlet label skew.
+def generate_synthetic(spec: DatasetConfig, seed: int) -> FederatedDataset:
+    """Gaussian-blob classification task with Dirichlet label skew, drawn
+    from the generator keys of the [dataset] section ``spec`` and the run
+    ``seed``.
 
     Class means sit on a sphere of radius ``class_separation``; each
     client draws its label distribution from ``Dirichlet(alpha * 1_K)``
     (small alpha concentrates a client on few labels) and its features
     from an isotropic Gaussian around the label's mean.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
-    k, p = spec.num_classes, spec.feature_dim
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    k, p = spec.classes, spec.feature_dim
     means = rng.standard_normal((k, p))
     means *= spec.class_separation / np.linalg.norm(means, axis=1, keepdims=True)
 
     clients: list[ClientData] = []
     lo = max(1, spec.samples_per_client_mean - spec.samples_per_client_spread)
     hi = spec.samples_per_client_mean + spec.samples_per_client_spread
-    for _ in range(spec.num_clients):
+    for _ in range(spec.clients):
         n = int(rng.integers(lo, hi + 1))
         label_probs = rng.dirichlet(np.full(k, spec.dirichlet_alpha))
         labels = rng.choice(k, size=n, p=label_probs)
         features = means[labels] + spec.noise_sigma * rng.standard_normal((n, p))
         clients.append((features, labels.astype(np.int64)))
 
-    train, heldout = _split_clients(spec.num_clients, rng)
+    train, heldout = _split_clients(spec.clients, rng)
     return FederatedDataset(clients, k, p, train, heldout)
 
 

@@ -80,10 +80,10 @@ class ExperimentResult:
 
 
 def _build_dataset(cfg: RunConfig, seed: int) -> FederatedDataset:
-    """Per-seed dataset; the run seed overrides the generation seed so a
-    seed fully determines data, initialization, and sampling."""
+    """Per-seed dataset; the run seed is the generation seed, so a seed
+    fully determines data, initialization, and sampling."""
     if cfg.dataset.kind == "synthetic":
-        return generate_synthetic(replace(cfg.dataset.synthetic, seed=seed))
+        return generate_synthetic(cfg.dataset, seed)
     features, labels = load_idx(cfg.dataset.images, cfg.dataset.labels)
     return partition_by_client(features, labels, cfg.dataset.partition_clients,
                                cfg.dataset.partition_alpha, seed)

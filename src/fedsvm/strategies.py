@@ -251,13 +251,13 @@ def client_update(global_model: Model, data: Sequence[tuple[Tensor, np.ndarray]]
     Each epoch walks every client's samples in its ``batch_orders``
     order, last partial batch kept. Every step runs one forward and
     backward over the batches of all clients whose parameters are the
-    same vector: at the first step, and at every step when the rate is
-    zero, that is the whole cohort at the global model; at later steps
-    each client is a group of one. The proximal variant adds
-    ``mu * (theta - theta_global)`` to every gradient, exactly zero at
-    the global model; the contrastive variant adds its encoder gradient
-    scaled by ``moon_coeff``. Zero-coefficient variants take the exact
-    vanilla path so they are bitwise-identical to it.
+    same vector: at the first step that is the whole cohort at the
+    global model, at later steps each client is a group of one, whatever
+    the rate. The proximal variant adds ``mu * (theta - theta_global)``
+    to every gradient, exactly zero at the global model; the contrastive
+    variant adds its encoder gradient scaled by ``moon_coeff``.
+    Zero-coefficient variants take the exact vanilla path so they are
+    bitwise-identical to it.
     """
     sizes = [int(labels.shape[0]) for _, labels in data]
     for n, size in zip(clients, sizes):
@@ -265,7 +265,7 @@ def client_update(global_model: Model, data: Sequence[tuple[Tensor, np.ndarray]]
             raise ValueError(f"round {t}, client {n}: empty dataset")
     lr = config.learning_rate
     use_prox = config.variant == PROX and config.prox_mu != 0.0
-    use_moon = config.variant == MOON and config.moon_coeff != 0.0 and lr > 0
+    use_moon = config.variant == MOON and config.moon_coeff != 0.0
     if not use_moon:
         prev_models = None
     elif prev_models is None:
@@ -286,10 +286,9 @@ def client_update(global_model: Model, data: Sequence[tuple[Tensor, np.ndarray]]
                      for o, n in zip(offsets, sizes)]
             active = [c for c, pick in enumerate(picks) if pick.size]
             # A shared step writes the gradients straight into the
-            # parameter rows and steps them in place; with a zero rate
-            # the rows are only scratch, reset at the end.
+            # parameter rows and steps them in place.
             if shared:
-                groups = [(global_model, active, params[:len(active)])]
+                groups = [(global_model, active, params)]
             else:
                 groups = [(global_model.with_params(params[c]), [c], scratch) for c in active]
             for model, members, grads in groups:
@@ -298,8 +297,6 @@ def client_update(global_model: Model, data: Sequence[tuple[Tensor, np.ndarray]]
                 _check_finite_rows(losses, members, clients, t, "loss")
                 loss_sum[members] += losses
                 batches[members] += 1
-                if lr == 0:
-                    continue
                 if use_prox and not shared:
                     grads += config.prox_mu * (params[members] - theta)
                 _check_finite_rows(grads, members, clients, t, "gradient")
@@ -309,9 +306,7 @@ def client_update(global_model: Model, data: Sequence[tuple[Tensor, np.ndarray]]
                     grads += theta
                 else:
                     params[members] += grads
-            shared = lr == 0
-    if lr == 0:
-        params[:] = theta
+            shared = False
     return params, loss_sum / batches
 
 
@@ -501,41 +496,41 @@ def run_round(t: int, global_model: Model, dataset, server: ServerState,
     record = RoundRecordData(train_loss=float(np.mean(losses)),
                              selected_clients=selected)
 
-    if strategy.kind == FEDOPT:
-        if server.opt.kind == SGD and server.opt.learning_rate == 1.0:
-            # Exact algebraic identity: an SGD server step at unit rate on
-            # -delta lands on the aggregate itself. Taking the aggregate
-            # directly keeps the identity bitwise.
-            server.opt.step_count += 1
-        else:
-            new_model = fedopt_step(global_model, pseudo_gradient(global_model, new_model),
-                                    server.opt)
-    elif strategy.kind == FEDAWS:
-        new_model.logit_matrix[...] = fedaws_regularize(new_model.logit_matrix,
-                                                        server.opt)
-    elif strategy.kind == SVM_MARGIN:
-        lam = penalty_value(strategy, t, server.total_rounds)
-        # Every row ends with the client's K x d logit matrix.
-        num_classes, dim = global_model.logit_matrix.shape
-        embeddings = params[:, -num_classes * dim:].reshape(len(selected), num_classes, dim)
-        try:
-            svm = fit_round(embeddings.transpose(1, 0, 2), lam, weights=sizes)
-        except ValueError as err:
-            raise RuntimeError(f"round {t}: SVM fit failed: {err}") from err
-        for pair, bin_model in svm.models.items():
-            if not bin_model.converged:
-                log.warning("round %d pair %s: solver stopped at gap %.3e",
-                            t, pair, bin_model.duality_gap)
-        try:
+    try:
+        if strategy.kind == FEDOPT:
+            if server.opt.kind == SGD and server.opt.learning_rate == 1.0:
+                # Exact algebraic identity: an SGD server step at unit rate on
+                # -delta lands on the aggregate itself. Taking the aggregate
+                # directly keeps the identity bitwise.
+                server.opt.step_count += 1
+            else:
+                new_model = fedopt_step(global_model, pseudo_gradient(global_model, new_model),
+                                        server.opt)
+        elif strategy.kind == FEDAWS:
+            new_model.logit_matrix[...] = fedaws_regularize(new_model.logit_matrix,
+                                                            server.opt)
+        elif strategy.kind == SVM_MARGIN:
+            lam = penalty_value(strategy, t, server.total_rounds)
+            # Every row ends with the client's K x d logit matrix.
+            num_classes, dim = global_model.logit_matrix.shape
+            embeddings = params[:, -num_classes * dim:].reshape(len(selected), num_classes, dim)
+            try:
+                svm = fit_round(embeddings.transpose(1, 0, 2), lam, weights=sizes)
+            except ValueError as err:
+                raise ValueError(f"SVM fit failed: {err}") from err
+            for pair, bin_model in svm.models.items():
+                if not bin_model.converged:
+                    log.warning("round %d pair %s: solver stopped at gap %.3e",
+                                t, pair, bin_model.duality_gap)
             new_logits, record.sv_counts = selective_aggregate(svm)
             if strategy.reg_steps > 0:
                 new_logits, _ = spreadout_regularize(new_logits, svm, server.opt,
                                                      strategy.reg_steps)
-        except ValueError as err:
-            raise RuntimeError(f"round {t}: {err}") from err
-        new_model.logit_matrix[...] = new_logits
-        record.lam = lam
-        record.svm = svm
+            new_model.logit_matrix[...] = new_logits
+            record.lam = lam
+            record.svm = svm
+    except ValueError as err:
+        raise RuntimeError(f"round {t}: {err}") from err
 
     check_finite(new_model.params, f"global model after round {t}")
     return new_model, record

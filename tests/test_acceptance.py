@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedsvm.config import PROX, ClientConfig, StrategyConfig, SyntheticSpec, parse_config
+from fedsvm.config import PROX, ClientConfig, DatasetConfig, StrategyConfig, parse_config
 from fedsvm.data import generate_synthetic
 from fedsvm.harness import compare_strategies, run_experiment, sv_sweep
 from fedsvm.metrics import accuracy, macro_f1, mcc
@@ -250,11 +250,11 @@ def test_criterion_2_svm_against_qp_oracle():
 # ---------------------------------------------------------------------------
 
 def _identity_dataset(equal_sizes=False):
-    return generate_synthetic(SyntheticSpec(
-        num_clients=8, num_classes=3, feature_dim=5,
+    return generate_synthetic(DatasetConfig(
+        clients=8, classes=3, feature_dim=5,
         samples_per_client_mean=14,
         samples_per_client_spread=0 if equal_sizes else 6,
-        dirichlet_alpha=0.4, class_separation=3.0, noise_sigma=0.8, seed=123))
+        dirichlet_alpha=0.4, class_separation=3.0, noise_sigma=0.8), 123)
 
 
 def _fedavg_server():

@@ -2,6 +2,10 @@
 misspelt key is rejected by name, and every default a minimal config
 parses to. A change to the config code must pass this unchanged."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from fedsvm.config import (
@@ -12,7 +16,10 @@ from fedsvm.config import (
     SVM_MARGIN,
     ClientConfig,
     ConfigError,
-    SyntheticSpec,
+    DatasetConfig,
+    ModelConfig,
+    RunConfig,
+    StrategyConfig,
     parse_config,
 )
 from fedsvm.harness import run_experiment
@@ -70,6 +77,33 @@ def test_accepted_keys_are_pinned():
     assert [len(keys) for keys in ACCEPTED.values()] == [13, 2, 7, 9, 8]
 
 
+SECTIONS = {"dataset": DatasetConfig, "model": ModelConfig, "client": ClientConfig,
+            "strategy": StrategyConfig, "run": RunConfig}
+
+
+@pytest.mark.parametrize("section", ACCEPTED)
+def test_section_fields_are_named_as_its_keys(section):
+    # One dataclass per section and no key translated: besides its keys,
+    # RunConfig holds only the four other sections.
+    fields = {f.name for f in dataclasses.fields(SECTIONS[section])}
+    if section == "run":
+        fields -= SECTIONS.keys() - {"run"}
+    assert fields == set(ACCEPTED[section])
+
+
+def test_readme_configuration_block_names_every_key():
+    # The README's ini block lists each section's keys after its
+    # [section]; a key added without docs fails here.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## Configuration\n.*?^```ini\n(.*?)^```", readme,
+                      re.MULTILINE | re.DOTALL).group(1)
+    parts = dict(re.findall(r"^\[(\w+)\](.*?)(?=^\[|\Z)", block, re.MULTILINE | re.DOTALL))
+    assert parts.keys() == ACCEPTED.keys()
+    for section, keys in ACCEPTED.items():
+        missing = [key for key in keys if not re.search(rf"\b{key}\b", parts[section])]
+        assert not missing, f"[{section}] in README lacks {missing}"
+
+
 @pytest.mark.parametrize("section,key", [
     (section, key) for section, keys in ACCEPTED.items() for key in keys])
 def test_every_pinned_key_is_accepted(tmp_path, section, key):
@@ -93,11 +127,11 @@ def test_misspelt_key_is_rejected_by_name(tmp_path, section, key):
 def test_minimal_config_defaults(tmp_path):
     cfg = parse_config(write(tmp_path, ""))
     assert cfg.dataset.kind == "synthetic"
-    assert cfg.dataset.synthetic == SyntheticSpec()
-    assert cfg.dataset.synthetic == SyntheticSpec(
-        num_clients=40, num_classes=8, feature_dim=32, samples_per_client_mean=60,
+    assert cfg.dataset == DatasetConfig()
+    assert cfg.dataset == DatasetConfig(
+        clients=40, classes=8, feature_dim=32, samples_per_client_mean=60,
         samples_per_client_spread=20, dirichlet_alpha=0.1, class_separation=3.0,
-        noise_sigma=1.0, seed=0)
+        noise_sigma=1.0)
     assert (cfg.dataset.images, cfg.dataset.labels) == ("", "")
     assert (cfg.dataset.partition_clients, cfg.dataset.partition_alpha) == (40, 0.5)
     assert (cfg.model.embedding_dim, cfg.model.hidden_width) == (64, 64)

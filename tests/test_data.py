@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from fedsvm.config import SyntheticSpec
+from fedsvm.config import DatasetConfig
 from fedsvm.data import (
     FederatedDataset,
     generate_synthetic,
@@ -13,12 +13,12 @@ from fedsvm.data import (
 )
 
 
-def spec(**kwargs) -> SyntheticSpec:
-    base = dict(num_clients=12, num_classes=4, feature_dim=6,
+def spec(**kwargs) -> DatasetConfig:
+    base = dict(clients=12, classes=4, feature_dim=6,
                 samples_per_client_mean=30, samples_per_client_spread=10,
-                dirichlet_alpha=0.5, class_separation=4.0, noise_sigma=1.0, seed=0)
+                dirichlet_alpha=0.5, class_separation=4.0, noise_sigma=1.0)
     base.update(kwargs)
-    return SyntheticSpec(**base)
+    return DatasetConfig(**base)
 
 
 def dataset_fingerprint(ds: FederatedDataset):
@@ -30,24 +30,24 @@ def dataset_fingerprint(ds: FederatedDataset):
 # ---------------------------------------------------------------------------
 
 def test_same_seed_bitwise_identical():
-    a = generate_synthetic(spec())
-    b = generate_synthetic(spec())
+    a = generate_synthetic(spec(), 0)
+    b = generate_synthetic(spec(), 0)
     assert dataset_fingerprint(a) == dataset_fingerprint(b)
     assert a.train_client_indices == b.train_client_indices
     assert a.heldout_client_indices == b.heldout_client_indices
 
 
 def test_split_is_ninety_ten_and_disjoint():
-    ds = generate_synthetic(spec(num_clients=20))
+    ds = generate_synthetic(spec(clients=20), 0)
     assert len(ds.heldout_client_indices) == 2
     assert len(ds.train_client_indices) == 18
     assert not set(ds.train_client_indices) & set(ds.heldout_client_indices)
 
 
 def test_large_alpha_approaches_uniform_labels():
-    ds = generate_synthetic(spec(num_clients=4, dirichlet_alpha=1e6,
+    ds = generate_synthetic(spec(clients=4, dirichlet_alpha=1e6,
                                  samples_per_client_mean=1500,
-                                 samples_per_client_spread=0))
+                                 samples_per_client_spread=0), 0)
     for features, labels in ds.clients:
         hist = np.bincount(labels, minlength=4) / labels.size
         tv = 0.5 * np.abs(hist - 0.25).sum()
@@ -55,10 +55,10 @@ def test_large_alpha_approaches_uniform_labels():
 
 
 def test_small_alpha_concentrates_labels():
-    ds = generate_synthetic(spec(num_clients=100, num_classes=8,
+    ds = generate_synthetic(spec(clients=100, classes=8,
                                  dirichlet_alpha=0.05,
                                  samples_per_client_mean=200,
-                                 samples_per_client_spread=0))
+                                 samples_per_client_spread=0), 0)
     top2_shares = []
     for _, labels in ds.clients:
         hist = np.sort(np.bincount(labels, minlength=8))[::-1]
@@ -67,7 +67,7 @@ def test_small_alpha_concentrates_labels():
 
 
 def test_all_train_clients_nonempty_and_labeled_in_range():
-    ds = generate_synthetic(spec())
+    ds = generate_synthetic(spec(), 0)
     for i in ds.train_client_indices:
         features, labels = ds.clients[i]
         assert features.shape[0] >= 1
@@ -76,7 +76,7 @@ def test_all_train_clients_nonempty_and_labeled_in_range():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        spec(num_clients=1)
+        spec(clients=1)
     with pytest.raises(ValueError):
         spec(dirichlet_alpha=0.0)
     with pytest.raises(ValueError):
@@ -91,8 +91,8 @@ def test_centralized_training_saturates_on_separated_task():
     from fedsvm.optim import SGD, OptimizerState, optimizer_step
     from oracles import batch_loss_and_gradient
 
-    ds = generate_synthetic(spec(num_clients=10, class_separation=10.0,
-                                 noise_sigma=0.1, samples_per_client_mean=50))
+    ds = generate_synthetic(spec(clients=10, class_separation=10.0,
+                                 noise_sigma=0.1, samples_per_client_mean=50), 0)
     x = np.vstack([ds.clients[i][0] for i in ds.train_client_indices])
     y = np.concatenate([ds.clients[i][1] for i in ds.train_client_indices])
     model = init_model(ds.feature_dim, [16], 8, ds.num_classes,

@@ -20,7 +20,6 @@ from fedsvm.config import (
     ModelConfig,
     RunConfig,
     StrategyConfig,
-    SyntheticSpec,
     parse_config,
 )
 from fedsvm.data import generate_synthetic
@@ -186,7 +185,7 @@ def test_dataset_and_model_built_in_code_are_checked():
 @pytest.mark.parametrize("section,key,change", [
     ("client", "epochs", lambda cfg: replace(cfg.client, epochs=0)),
     ("strategy", "reg_steps", lambda cfg: replace(cfg.strategy, reg_steps=-1)),
-    ("dataset", "clients", lambda cfg: replace(cfg.dataset.synthetic, num_clients=1)),
+    ("dataset", "clients", lambda cfg: replace(cfg.dataset, clients=1)),
     ("model", "embedding_dim", lambda cfg: replace(cfg.model, embedding_dim=0)),
     ("run", "rounds", lambda cfg: replace(cfg, rounds=0)),
 ])
@@ -200,9 +199,8 @@ def test_every_section_checks_itself_with_one_error_type(section, key, change):
 def test_largest_accepted_participation_is_the_train_client_count():
     # RunConfig and the data split count the held-out clients alike.
     for n in range(2, 61):
-        spec = SyntheticSpec(num_clients=n, num_classes=2, feature_dim=1,
-                             samples_per_client_mean=2, samples_per_client_spread=0)
-        dataset = DatasetConfig(synthetic=spec)
+        dataset = DatasetConfig(clients=n, classes=2, feature_dim=1,
+                                samples_per_client_mean=2, samples_per_client_spread=0)
         accepted = []
         for c in range(1, n + 1):
             try:
@@ -210,7 +208,7 @@ def test_largest_accepted_participation_is_the_train_client_count():
             except ConfigError:
                 continue
             accepted.append(c)
-        assert max(accepted) == len(generate_synthetic(spec).train_client_indices), n
+        assert max(accepted) == len(generate_synthetic(dataset, 0).train_client_indices), n
 
 
 def test_config_module_imports_no_engine_module():

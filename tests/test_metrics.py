@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedsvm.config import SyntheticSpec
+from fedsvm.config import DatasetConfig
 from fedsvm.data import generate_synthetic
 from fedsvm.metrics import accuracy, confusion, format_rounds, macro_f1, mcc, rounds_to_target
 from fedsvm.model import Model
@@ -83,10 +83,10 @@ def test_rounds_to_target_validation():
 
 
 def test_confusion_counts_pooled_heldout_samples():
-    ds = generate_synthetic(SyntheticSpec(
-        num_clients=10, num_classes=3, feature_dim=4,
+    ds = generate_synthetic(DatasetConfig(
+        clients=10, classes=3, feature_dim=4,
         samples_per_client_mean=20, samples_per_client_spread=0,
-        dirichlet_alpha=1.0, class_separation=3.0, noise_sigma=0.5, seed=5))
+        dirichlet_alpha=1.0, class_separation=3.0, noise_sigma=0.5), 5)
     # A fixed-prediction model: zero encoder makes every logit zero and
     # every prediction class 0 by tie-break.
     model = Model([(np.zeros((2, 4)), np.zeros(2))], np.zeros((3, 2)))

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from fedsvm.svm import fit_ovo, fit_round
 
 from oracles import round_product_fit
+from qp_oracle import dual_oracle
 
 
 def round_embeddings(classes, clients, dim, seed, spread=0.3, scale=1.0):
@@ -105,13 +106,18 @@ def test_round_fit_equals_same_product_reference(case):
                     fit_round(embeddings, lam, **kwargs))
 
 
+def absolute_gap(model):
+    """The fit's absolute duality gap. The relative gap is clamped at 0
+    and widened by 4 eps, the rounding of its own computation, which can
+    leave a converged gap just below 0."""
+    gap = max(model.duality_gap, 0.0) + 4.0 * np.finfo(np.float64).eps
+    return gap * max(1.0, abs(model.primal_value))
+
+
 def gap_radius(model):
     """sqrt(2g) for the fit's absolute duality gap g: the primal is
-    1-strongly convex in w, so the optimal normal lies within it. The
-    relative gap is clamped at 0 and widened by 4 eps, the rounding of
-    its own computation, which can leave a converged gap just below 0."""
-    gap = max(model.duality_gap, 0.0) + 4.0 * np.finfo(np.float64).eps
-    return np.sqrt(2.0 * gap * max(1.0, abs(model.primal_value)))
+    1-strongly convex in w, so the optimal normal lies within it."""
+    return np.sqrt(2.0 * absolute_gap(model))
 
 
 def test_unaligned_blocks_agree_with_fit_ovo_within_the_gap():
@@ -175,6 +181,24 @@ def test_scaled_samples_scale_every_pair_normal(classes, clients, dim, scale, la
         want, got = reference.models[pair], fitted.models[pair]
         assert (np.linalg.norm(got.normal - want.normal / factor)
                 <= gap_radius(got) + gap_radius(want) / factor)
+
+
+@settings(max_examples=30)
+@given(classes=st.integers(2, 4), clients=st.integers(1, 3), dim=st.integers(1, 16),
+       scale=st.floats(0.1, 10.0), lam=st.floats(1e-2, 1e2), seed=st.integers(0, 2**32 - 1))
+def test_every_pair_is_within_its_gap_of_the_qp_optimum(classes, clients, dim, scale, lam,
+                                                        seed):
+    # Pair problems of M = 2C <= 6 samples, few enough for the oracle's
+    # enumeration of faces. The fit's dual lies within its absolute gap
+    # of the optimal dual, and its normal within the gap radius of the
+    # optimal normal.
+    embeddings = scaled_round(classes, clients, dim, scale, seed)
+    y = np.concatenate((np.ones(clients), -np.ones(clients)))
+    for (k, kp), model in fit_round(embeddings, lam).models.items():
+        x = np.array([e for e, _ in embeddings[k] + embeddings[kp]])
+        alpha, dual = dual_oracle(x, y, lam)
+        assert dual - model.dual_value <= absolute_gap(model) + 1e-12 * max(1.0, abs(dual))
+        assert np.linalg.norm(model.normal - x.T @ (alpha * y)) <= gap_radius(model)
 
 
 @settings(max_examples=60)

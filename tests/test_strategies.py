@@ -11,8 +11,8 @@ from fedsvm.config import (
     MOON,
     PROX,
     ClientConfig,
+    DatasetConfig,
     StrategyConfig,
-    SyntheticSpec,
 )
 from fedsvm.data import generate_synthetic
 from fedsvm.model import Model, encode, init_model
@@ -425,10 +425,10 @@ def test_penalty_schedule_values():
 # ---------------------------------------------------------------------------
 
 def small_dataset(seed=0, clients=6, classes=3, dim=4):
-    return generate_synthetic(SyntheticSpec(
-        num_clients=clients, num_classes=classes, feature_dim=dim,
+    return generate_synthetic(DatasetConfig(
+        clients=clients, classes=classes, feature_dim=dim,
         samples_per_client_mean=15, samples_per_client_spread=5,
-        dirichlet_alpha=0.5, class_separation=3.0, noise_sigma=0.5, seed=seed))
+        dirichlet_alpha=0.5, class_separation=3.0, noise_sigma=0.5), seed)
 
 
 def make_server(name="fedavg", total_rounds=1, **strategy):
@@ -499,10 +499,10 @@ def test_svm_margin_degenerate_equals_fedavg_logits():
     # Vanishing penalty makes every embedding a support vector; with equal
     # dataset sizes and no regularizer steps the logit rows reduce to the
     # plain weighted mean.
-    dataset = generate_synthetic(SyntheticSpec(
-        num_clients=6, num_classes=3, feature_dim=4,
+    dataset = generate_synthetic(DatasetConfig(
+        clients=6, classes=3, feature_dim=4,
         samples_per_client_mean=12, samples_per_client_spread=0,
-        dirichlet_alpha=0.5, class_separation=3.0, noise_sigma=0.5, seed=9))
+        dirichlet_alpha=0.5, class_separation=3.0, noise_sigma=0.5), 9)
     model = init_model(dataset.feature_dim, [5], 3, dataset.num_classes,
                        np.random.default_rng(4))
     cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.05)
@@ -527,18 +527,29 @@ def test_svm_stage_failure_names_its_round(monkeypatch):
         raise ValueError("class 0 has no support vectors")
 
     monkeypatch.setattr(strategies, "selective_aggregate", no_support)
-    dataset = generate_synthetic(SyntheticSpec(num_clients=10, num_classes=2, seed=0))
+    dataset = generate_synthetic(DatasetConfig(clients=10, classes=2), 0)
     model = init_model(dataset.feature_dim, [8], 2, 2, np.random.default_rng(0))
     server = make_server("svm_margin", total_rounds=4)
     with pytest.raises(RuntimeError, match="round 3: class 0 has no support vectors"):
         run_round(3, model, dataset, server, ClientConfig(learning_rate=0.0), 1, seed=0)
 
 
+def test_server_step_failure_names_its_round():
+    # A zero class embedding has no cosine; fedaws's server step fails
+    # with the round in its message, as the SVM stage does.
+    dataset = generate_synthetic(DatasetConfig(clients=10, classes=3, feature_dim=4), 0)
+    model = init_model(4, [5], 3, 3, np.random.default_rng(0))
+    model.logit_matrix[1] = 0.0
+    server = make_server("fedaws", total_rounds=4)
+    with pytest.raises(RuntimeError, match="^round 2: zero-norm class embedding"):
+        run_round(2, model, dataset, server, ClientConfig(learning_rate=0.0), 3, seed=0)
+
+
 def test_underflowing_gram_names_its_round_and_pair():
     # Every squared embedding norm underflows to 0, so the kernel's
     # curvature floor would be 0: the fit must fail by name instead of
     # dividing by zero.
-    dataset = generate_synthetic(SyntheticSpec(num_clients=10, num_classes=2, seed=0))
+    dataset = generate_synthetic(DatasetConfig(clients=10, classes=2), 0)
     model = init_model(dataset.feature_dim, [8], 2, 2, np.random.default_rng(0))
     model.logit_matrix[...] = np.diag([1e-170, 1e-170])
     server = make_server("svm_margin", total_rounds=4)
