@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import SVM_MARGIN, ConfigError, RunConfig
-from .data import FederatedDataset, generate_synthetic, load_idx, partition_by_client
+from .data import (FederatedDataset, generate_synthetic, heldout_pool, load_idx,
+                   partition_by_client)
 from .metrics import accuracy, confusion, format_rounds, macro_f1, mcc, rounds_to_target
 from .model import init_model
 from .strategies import ServerState, run_round
@@ -91,6 +92,7 @@ def _build_dataset(cfg: RunConfig, seed: int) -> FederatedDataset:
 
 def _run_seed(cfg: RunConfig, seed: int, writer, fh, diag_path: Path | None) -> SeedResult:
     dataset = _build_dataset(cfg, seed)
+    pool = heldout_pool(dataset)   # fixed for the seed: pooled once, read every evaluation
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
     model = init_model(dataset.feature_dim, [cfg.model.hidden_width],
                        cfg.model.embedding_dim, dataset.num_classes, init_rng)
@@ -103,7 +105,7 @@ def _run_seed(cfg: RunConfig, seed: int, writer, fh, diag_path: Path | None) -> 
         model, rec = run_round(t, model, dataset, server, cfg.client,
                                cfg.clients_per_round, seed)
         if cfg.evaluates(t):
-            cm = confusion(model, dataset)
+            cm = confusion(model, pool)
             row = RoundRow(seed, t + 1, name, rec.train_loss, accuracy(cm),
                            macro_f1(cm), mcc(cm), rec.lam, rec.sv_counts,
                            (time.perf_counter() - start) * 1e3)

@@ -6,14 +6,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import FederatedDataset, heldout_pool
+from .data import ClientData
 from .model import Model, predict
 
 
-def confusion(model: Model, dataset: FederatedDataset) -> np.ndarray:
+def confusion(model: Model, pool: ClientData) -> np.ndarray:
     """K x K count matrix (rows true, columns predicted) over the pooled
-    held-out clients."""
-    features, labels = heldout_pool(dataset)
+    held-out clients' ``(features, labels)``, ``data.heldout_pool``."""
+    features, labels = pool
     preds = predict(model, features)
     k = model.num_classes
     return np.bincount(labels * k + preds, minlength=k * k).reshape(k, k)

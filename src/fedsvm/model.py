@@ -8,7 +8,8 @@ products, i.e. nearest class embedding under the dot-product metric.
 Gradients are hand-derived; a finite-difference oracle checks them in
 the test suite. Their one entry, ``loss_and_gradient``, takes rows,
 labels and the bounds of the segments (one client's batch each) that
-share the parameters, and writes one gradient row per segment.
+share the parameters, and writes one gradient row per segment or, with
+segment weights, their weighted sum.
 """
 
 from __future__ import annotations
@@ -173,7 +174,8 @@ def encoder_backward(model: Model, acts, d_emb: Tensor, bounds, out: Tensor) -> 
 
 
 def loss_and_gradient(model: Model, inputs: Tensor, labels: np.ndarray, bounds: np.ndarray,
-                      out: Tensor, embedding_term=None) -> Tensor:
+                      out: Tensor, embedding_term=None, weights: Tensor | None = None,
+                      logit_rows: Tensor | None = None) -> Tensor:
     """Mean softmax cross-entropy and its gradients for every parameter,
     per segment.
 
@@ -190,6 +192,13 @@ def loss_and_gradient(model: Model, inputs: Tensor, labels: np.ndarray, bounds: 
     the encoder's backward pass, and its value is not part of the
     returned losses. The softmax is max-shifted, so overflow cannot
     occur.
+
+    With segment ``weights`` (S), ``out`` is one vector (P) instead: the
+    weighted sum of the segments' encoder gradients, its logit span set
+    to zero. The embedding gradient is scaled row by row by its
+    segment's weight, so each encoder layer takes one product over all
+    rows. Each segment's own logit-matrix gradient goes to its row of
+    ``logit_rows`` (S x K·d).
     """
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError("labels out of range")
@@ -210,8 +219,14 @@ def loss_and_gradient(model: Model, inputs: Tensor, labels: np.ndarray, bounds: 
     d_emb = dscores.T @ model.logit_matrix
     if embedding_term is not None:
         d_emb += embedding_term(emb, bounds)
-    encoder_backward(model, acts, d_emb, bounds, out)
     start, end, shape = model._spans[-1]
-    for row, a, b in zip(out, bounds[:-1].tolist(), bounds[1:].tolist()):
-        np.matmul(dscores[:, a:b], emb[a:b], out=row[start:end].reshape(shape))
+    if weights is None:
+        encoder_backward(model, acts, d_emb, bounds, out)
+        rows = out[:, start:end]
+    else:
+        d_emb *= np.repeat(weights, sizes)[:, None]
+        encoder_backward(model, acts, d_emb, bounds[[0, -1]], out[None])
+        rows = logit_rows
+    for row, a, b in zip(rows, bounds[:-1].tolist(), bounds[1:].tolist()):
+        np.matmul(dscores[:, a:b], emb[a:b], out=row.reshape(shape))
     return losses

@@ -3,7 +3,8 @@
 The server steps with it on the FedAdam/FedAMS pseudo-gradient (or
 degenerate SGD for ``fedopt``) and on the class embeddings under the
 fedaws and spread-out penalties. Client SGD runs in place inside
-``strategies.client_update`` and does not use it.
+``strategies.client_update`` and ``strategies.one_step_update`` and
+does not use it.
 """
 
 from __future__ import annotations

@@ -7,8 +7,12 @@ regularization on the class embeddings).
 A round samples clients, trains them as one cohort, each on its own
 data starting from the global model (every step is one
 ``model.loss_and_gradient`` call per group of clients at the same
-parameters, one segment per client), then applies the configured
-server strategy. The engine
+parameters, one segment per client), averages them, then applies the
+configured server strategy. When every client takes exactly one step
+(one epoch, its data within one batch, not the contrastive variant),
+training and averaging are one weighted backward pass per chunk of
+clients (``one_step_update``); otherwise ``client_update`` trains the
+clients and ``fedavg_aggregate`` averages them. The engine
 runs from the [client] and [strategy] config sections themselves,
 ``ClientConfig`` and ``StrategyConfig`` of ``config``. Strategy state (server
 optimizer moments, per-client previous models for the contrastive
@@ -237,6 +241,16 @@ def _check_finite_rows(values: Tensor, members: list[int], clients: Sequence[int
         raise ValueError(f"round {t}, client {clients[c]}: non-finite {what}")
 
 
+def _client_sizes(data: Sequence[tuple[Tensor, np.ndarray]], clients: Sequence[int],
+                  t: int) -> list[int]:
+    """Each client's sample count; raises naming the first empty client."""
+    sizes = [int(labels.shape[0]) for _, labels in data]
+    for n, size in zip(clients, sizes):
+        if size == 0:
+            raise ValueError(f"round {t}, client {n}: empty dataset")
+    return sizes
+
+
 def client_update(global_model: Model, data: Sequence[tuple[Tensor, np.ndarray]],
                   config: ClientConfig, seed: int, t: int, clients: Sequence[int],
                   prev_models: Sequence[Model] | None = None) -> tuple[Tensor, Tensor]:
@@ -244,6 +258,9 @@ def client_update(global_model: Model, data: Sequence[tuple[Tensor, np.ndarray]]
     each on its own ``data`` starting from the global model, which is
     never mutated. ``prev_models`` are the contrastive variant's previous
     models, one per client (the global model when not given).
+    ``run_round`` trains here only cohorts that ``one_step_update``
+    does not take: more than one epoch, a client larger than a batch,
+    or the contrastive variant.
 
     Returns the trained parameters as a (C, P) array, row i for
     ``clients[i]``, and each client's mean batch loss.
@@ -259,10 +276,7 @@ def client_update(global_model: Model, data: Sequence[tuple[Tensor, np.ndarray]]
     Zero-coefficient variants take the exact vanilla path so they are
     bitwise-identical to it.
     """
-    sizes = [int(labels.shape[0]) for _, labels in data]
-    for n, size in zip(clients, sizes):
-        if size == 0:
-            raise ValueError(f"round {t}, client {n}: empty dataset")
+    sizes = _client_sizes(data, clients, t)
     lr = config.learning_rate
     use_prox = config.variant == PROX and config.prox_mu != 0.0
     use_moon = config.variant == MOON and config.moon_coeff != 0.0
@@ -308,6 +322,57 @@ def client_update(global_model: Model, data: Sequence[tuple[Tensor, np.ndarray]]
                     params[members] += grads
             shared = False
     return params, loss_sum / batches
+
+
+def one_step_update(global_model: Model, data: Sequence[tuple[Tensor, np.ndarray]],
+                    config: ClientConfig, seed: int, t: int,
+                    clients: Sequence[int]) -> tuple[Model, Tensor, Tensor]:
+    """``client_update`` and ``fedavg_aggregate`` for a cohort in which
+    every client takes exactly one step from the global model: one epoch
+    over data that fits in one batch. The proximal term is zero at the
+    global model, so every variant but the contrastive one qualifies.
+
+    Then the average of the clients' encoders is one step on the
+    dataset-weighted cohort loss (FedSGD; McMahan et al., AISTATS 2017):
+    ``theta_enc - lr * sum_c u_c g_c`` with ``u_c = |D_c| / sum |D|``.
+    One ``loss_and_gradient`` pass per chunk of at most ``COHORT_ROWS``
+    rows forms it, with segment weights ``u_c``, over the clients' rows
+    in stored order: a single full batch does not depend on its order.
+    Each client's logit matrix is still stepped on its own, and the
+    aggregate's is their ``weighted_mean``.
+
+    Returns the aggregate (a new buffer), the clients' logit matrices as
+    (C, K·d) rows and each client's loss. A failure names its client as
+    ``client_update`` does.
+    """
+    sizes = _client_sizes(data, clients, t)
+    weights = np.asarray(sizes, dtype=np.float64) / sum(sizes)
+    theta = global_model.params
+    logit_start = theta.size - global_model.logit_matrix.size
+    total = np.zeros(theta.size)
+    part = np.empty(theta.size)
+    rows = np.empty((len(clients), theta.size - logit_start))
+    losses = np.empty(len(clients))
+    for lo, hi in _chunks(sizes):
+        x = np.concatenate([data[c][0] for c in range(lo, hi)])
+        y = np.concatenate([data[c][1] for c in range(lo, hi)])
+        losses[lo:hi] = loss_and_gradient(global_model, x, y, np.cumsum([0] + sizes[lo:hi]),
+                                          part, weights=weights[lo:hi],
+                                          logit_rows=rows[lo:hi])
+        total += part
+    _check_finite_rows(losses, list(range(len(clients))), clients, t, "loss")
+    if not (np.isfinite(total).all() and np.isfinite(rows).all()):
+        # The cohort sum names no client; the per-client path finds it.
+        client_update(global_model, data, config, seed, t, clients)
+        raise ValueError(f"round {t}: non-finite cohort gradient")
+    # theta - lr * grad as client_update steps it: (-lr) * g + theta.
+    lr = config.learning_rate
+    total *= -lr
+    total += theta
+    rows *= -lr
+    rows += theta[logit_start:]
+    total[logit_start:] = weighted_mean(rows, sizes)
+    return global_model.with_params(total), rows, losses
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +535,9 @@ def run_round(t: int, global_model: Model, dataset, server: ServerState,
     """One full aggregation round.
 
     Samples clients without replacement, trains them as one cohort from
-    the current global model, then applies the server strategy. Client
+    the current global model and averages them, through
+    ``one_step_update`` when every client takes exactly one step, then
+    applies the server strategy. Client
     rows are consumed in client-index order; all randomness is keyed on
     ``(seed, round)`` and ``(seed, round, client, epoch)``, so a client's
     batches do not depend on which other clients were sampled.
@@ -480,19 +547,27 @@ def run_round(t: int, global_model: Model, dataset, server: ServerState,
                               _sampling_rng(seed, t))
     data = [dataset.clients[n] for n in selected]
     sizes = [float(features.shape[0]) for features, _ in data]
+    num_classes, dim = global_model.logit_matrix.shape
     moon = client_config.variant == MOON
-    prev = [server.prev_models.get(n, global_model) for n in selected] if moon else None
-    params, losses = client_update(global_model, data, client_config, seed, t, selected, prev)
-    if moon:
-        # Copies, so a kept model does not hold the whole round buffer.
-        for n, row in zip(selected, params):
-            server.prev_models[n] = global_model.with_params(row.copy())
-
-    server.maybe_reset()
     # The aggregate is a fresh buffer, so the strategies below may rewrite
     # its logit rows in place; the client rows and the global model are
     # never written.
-    new_model = fedavg_aggregate(global_model, params, sizes)
+    if client_config.epochs == 1 and not moon and max(sizes) <= client_config.batch_size:
+        new_model, client_logits, losses = one_step_update(global_model, data, client_config,
+                                                           seed, t, selected)
+    else:
+        prev = [server.prev_models.get(n, global_model) for n in selected] if moon else None
+        params, losses = client_update(global_model, data, client_config, seed, t, selected,
+                                       prev)
+        if moon:
+            # Copies, so a kept model does not hold the whole round buffer.
+            for n, row in zip(selected, params):
+                server.prev_models[n] = global_model.with_params(row.copy())
+        new_model = fedavg_aggregate(global_model, params, sizes)
+        # Every row ends with the client's K x d logit matrix.
+        client_logits = params[:, -num_classes * dim:]
+
+    server.maybe_reset()
     record = RoundRecordData(train_loss=float(np.mean(losses)),
                              selected_clients=selected)
 
@@ -511,9 +586,7 @@ def run_round(t: int, global_model: Model, dataset, server: ServerState,
                                                             server.opt)
         elif strategy.kind == SVM_MARGIN:
             lam = penalty_value(strategy, t, server.total_rounds)
-            # Every row ends with the client's K x d logit matrix.
-            num_classes, dim = global_model.logit_matrix.shape
-            embeddings = params[:, -num_classes * dim:].reshape(len(selected), num_classes, dim)
+            embeddings = client_logits.reshape(len(selected), num_classes, dim)
             try:
                 svm = fit_round(embeddings.transpose(1, 0, 2), lam, weights=sizes)
             except ValueError as err:

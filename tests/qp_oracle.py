@@ -24,7 +24,6 @@ def dual_oracle(x, y, lam):
     y = np.asarray(y, dtype=float)
     m = x.shape[0]
     q = (y[:, None] * x) @ (y[:, None] * x).T
-    tol = FEASIBILITY_TOL * max(1.0, lam)
     best_alpha, best_value = None, -np.inf
     for states in itertools.product((0, 1, 2), repeat=m):
         states = np.array(states)
@@ -42,6 +41,10 @@ def dual_oracle(x, y, lam):
                 alpha[free] = np.linalg.solve(kkt, rhs)[:k]
             except np.linalg.LinAlgError:
                 continue
+        # Relative to the face's own coefficients, so the check scales
+        # with them at any lam: an absolute floor accepts infeasible
+        # faces once every coefficient is below it.
+        tol = FEASIBILITY_TOL * np.abs(alpha).max()
         if abs(alpha @ y) > tol or np.any(alpha < -tol) or np.any(alpha > lam + tol):
             continue
         alpha = np.clip(alpha, 0.0, lam)

@@ -39,22 +39,22 @@ STRATEGIES = {
 
 # label -> (sha256 of rounds.csv without ms, sha256 of summary.csv)
 GOLDEN = {
-    "fedavg": ("167d1e1a613b5acd55cfec5ca742c0063bec530e5c125c30d1644b2ebac83abe",
+    "fedavg": ("8fa7f55f6d2757febf4227d49687f67a127818caca6b7c9cc511f3800a51576d",
                "881f505212311482bbd7f62800c17144b1fcfb785db3b1b7292ab5f04dc66c10"),
-    "fedadam": ("bede97cf04694b5f6e32bba298b0e7ef7099b2ca7c90e0e288befb751a9b2b0f",
-                "e4299c27fe00eef622500458b16136b778dd684f56b7e23a7fa9765ae3b25e5f"),
-    "fedams": ("a4b16e8b5c81227cbf1ee9d328a10f2b75f1461144e66e648dc7b055dae2be1d",
-               "d5ca4a291bd57ff373f95caa2dbbe4b1e325279f995186f650862f82c387aa73"),
-    "fedaws": ("d2bc1e2363609aa73a753849732760ce2a0e0815233c073130c4b7083291db33",
-               "fb02d0f8fdca7e820b510532265c5258e04f5b37f5cb153481f303342c2c47df"),
-    "fedprox": ("f6992ddae46df2b41b3122199380ff1cc47851886823152923ca8c18f326f1ab",
+    "fedadam": ("6460addc9da2842f264b10ef0c07a4b3db04861d294f026ebe9b98ddad241058",
+                "023cf7ff19da39c8f414d5ef0b29de1d11bde16fbedd43e732a020ee2f6eb352"),
+    "fedams": ("4fb85eaaf4a71f0e73e7fbd8e5248a706499016b775cdd2a5790f27aaec1d2af",
+               "bc205df3d880a7ef3f804540433265baf1f7478d462cb49dd6bf9a067df5f0c0"),
+    "fedaws": ("87ee8f9451d8ef29b6890ddcf7af46dcc53dc1cfda75906a22b0466b483d5a6c",
+               "bcc775747ceb9a70ae63d4420db99da18739d078ffe48657e7fcbf19504d4b62"),
+    "fedprox": ("eb272b543787d48eeeb14ccfeb0c645d0de96c8cfd8cdf4a868d44478c83525a",
                 "881f505212311482bbd7f62800c17144b1fcfb785db3b1b7292ab5f04dc66c10"),
     "fedprox_2epochs": ("66f6fe494fe8f183e9f250d869ff7a4ec126051c69f98720b650e86c4e7b48d7",
                         "ddc4dab1e1f279742e3592b2609974ebdb6d1a75fc4c85da0c8c43ace76d2212"),
     "moon": ("af3c8f203010d5f25eabaf28969d587184d8cfdbfafdc060b846ed3440870845",
              "23e796075417e0a5e31279ef168b4f90028d3c95e7fbaa1b2b47dd5fa26aecb9"),
-    "svm_margin": ("e5dc1e190195d3dcde68a3b79378e54f8677036b41f3520b7749023797f367d0",
-                   "63e9823e7c0eb2dfa6177efe5c60b7e6d25a78aed4dde7817d9105f5cebe9a67"),
+    "svm_margin": ("e9e51b42154883911ddc49d48e2e69712c09374b9121c9eeac0bbefff4928891",
+                   "e276df92c697cd9e544050c08f5d3cca0606cbd5843bf15a8c272c81fc68eb47"),
 }
 
 
@@ -94,7 +94,7 @@ TEXT_GOLDEN = {
         "stdout":
             "29613a8b0d333d40ab675b198f8577e69d8a4a05933b3637774cfcd52c81e8fb",
         "summary.csv":
-            "9ecea0cec78b05f10d72230b82ff21e4beb9292fced4504e98aa5db168b7341a",
+            "71dd4267aec699bd6c8b1a42c43b90682eb0951cb3f3ca8920d7e1a96116c958",
         "summary.txt":
             "29613a8b0d333d40ab675b198f8577e69d8a4a05933b3637774cfcd52c81e8fb",
     },
@@ -110,7 +110,7 @@ TEXT_GOLDEN = {
         "fedavg/summary.txt":
             "d0497822df049766180069fe049e34d2e5e19436adda48cc2c5e655ff8d72dce",
         "fedadam/summary.csv":
-            "9ecea0cec78b05f10d72230b82ff21e4beb9292fced4504e98aa5db168b7341a",
+            "71dd4267aec699bd6c8b1a42c43b90682eb0951cb3f3ca8920d7e1a96116c958",
         "fedadam/summary.txt":
             "29613a8b0d333d40ab675b198f8577e69d8a4a05933b3637774cfcd52c81e8fb",
         "moon/summary.csv":
@@ -118,7 +118,7 @@ TEXT_GOLDEN = {
         "moon/summary.txt":
             "dbeab60620d59f5df151e8be46a241c0f091f2138bf8af8dc4c8028dec55343a",
         "svm_margin/summary.csv":
-            "14789e4e560684766d5e715529bbc2b825df9a55e616161d6e6ae2f3ddccfeeb",
+            "ebb1c04288e55b28ab50b4751db07e45b9ec4eebcb33c50d6e3bba527d1a4b8a",
         "svm_margin/summary.txt":
             "77eac5f2cef910da86d89a6a6a198fa9673b67fd17e2489f5e627959d30533d0",
     },
@@ -128,19 +128,19 @@ TEXT_GOLDEN = {
         "sweep.csv":
             "d13186a61a6c30b3fe665ad1c4133e9230bcf8596dd2d79a73f835374cbe4727",
         "d8_c4/summary.csv":
-            "fff38c72495a33093d35a780d4bae76b98e9fa59284fd142e25ba3d5b4241b26",
+            "26872e68d008c7c4d42bb197d7117099645863935f84e7b21257f1e493ea1c4c",
         "d8_c4/summary.txt":
             "596df42588adf2a61d7e11e9361d46879c8996003adc777a59d32ddf422efad2",
         "d8_c8/summary.csv":
-            "5982ab001c58d157b4a3111b18ab61dd166854b3cf37fa0b3671dca57d266d5a",
+            "bc210cd32808d7558709a15d9a8e0711353f3d77946c1ba60e7317d8dc0d7f7a",
         "d8_c8/summary.txt":
             "101f27c2622695937f154a0ef5e862284edc0a513da071079c85f6d98d74a4e9",
         "d16_c4/summary.csv":
-            "217def3f46e3405a05964d1d99f6fe75dad412fb4858ca1b89899874448f8a81",
+            "2e109d9baf91302372e72697b4ed05983d076f762030a851621286f476a27887",
         "d16_c4/summary.txt":
             "911005feaaad11f14480383e5a21c44fc61794123bf7c30526b33181a67ec6e9",
         "d16_c8/summary.csv":
-            "14789e4e560684766d5e715529bbc2b825df9a55e616161d6e6ae2f3ddccfeeb",
+            "ebb1c04288e55b28ab50b4751db07e45b9ec4eebcb33c50d6e3bba527d1a4b8a",
         "d16_c8/summary.txt":
             "77eac5f2cef910da86d89a6a6a198fa9673b67fd17e2489f5e627959d30533d0",
     },

@@ -22,7 +22,7 @@ from fedsvm.config import (
     StrategyConfig,
     parse_config,
 )
-from fedsvm.data import generate_synthetic
+from fedsvm.data import generate_synthetic, heldout_pool
 from fedsvm.harness import (
     COMPARE_CSV_COLUMNS,
     ROUNDS_CSV_COLUMNS,
@@ -289,26 +289,50 @@ def test_failed_seed_does_not_stop_others(tmp_path, monkeypatch):
 
 
 def test_round_record_is_released_before_the_next_round(tmp_path, monkeypatch):
-    # No round's (C, P) client buffer may still be alive when the next
-    # round trains its clients; a round's SVM holds a copy of its class
-    # embeddings, not views into that buffer.
+    # No round's client buffer may still be alive when the next round
+    # trains its clients: neither the (C, P) rows of client_update nor
+    # the (C, K·d) logit rows of a one-step round. A round's SVM holds a
+    # copy of its class embeddings, not views into that buffer.
     import fedsvm.strategies as strategies
 
-    original = strategies.client_update
     buffers, alive = [], []
 
-    def tracked(*args, **kwargs):
-        alive.append(sum(ref() is not None for ref in buffers))
-        params, losses = original(*args, **kwargs)
-        buffers.append(weakref.ref(params))
-        return params, losses
+    def tracked(train, index):
+        def wrapper(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in buffers))
+            result = train(*args, **kwargs)
+            buffers.append(weakref.ref(result[index]))
+            return result
+        return wrapper
 
-    monkeypatch.setattr(strategies, "client_update", tracked)
+    monkeypatch.setattr(strategies, "client_update", tracked(strategies.client_update, 0))
+    monkeypatch.setattr(strategies, "one_step_update",
+                        tracked(strategies.one_step_update, 1))
     cfg = parse_config(Path(__file__).resolve().parent.parent / "configs"
                        / "synthetic_svm_margin.ini")
-    result = run_experiment(replace(cfg, rounds=5, seeds=(0,)), tmp_path / "out")
+    # One epoch takes the one-step path, two the general one.
+    for epochs in (1, 2):
+        buffers[:], alive[:] = [], []
+        run = replace(cfg, rounds=5, seeds=(0,), client=replace(cfg.client, epochs=epochs))
+        result = run_experiment(run, tmp_path / f"epochs{epochs}")
+        assert not result.failed_seeds
+        assert alive == [0, 0, 0, 0, 0], epochs
+
+
+def test_heldout_pool_is_built_once_per_seed(tmp_path, monkeypatch):
+    import fedsvm.harness as harness
+
+    calls = []
+
+    def counting(dataset):
+        calls.append(dataset)
+        return heldout_pool(dataset)
+
+    monkeypatch.setattr(harness, "heldout_pool", counting)
+    cfg = parse_config(write_config(tmp_path, rounds=4, seeds="0 1"))
+    result = run_experiment(cfg, tmp_path / "pool")
     assert not result.failed_seeds
-    assert alive == [0, 0, 0, 0, 0]
+    assert len(calls) == 2
 
 
 def growing_embeddings_run(tmp_path, embedding_dim):

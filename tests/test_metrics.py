@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedsvm.config import DatasetConfig
-from fedsvm.data import generate_synthetic
+from fedsvm.data import generate_synthetic, heldout_pool
 from fedsvm.metrics import accuracy, confusion, format_rounds, macro_f1, mcc, rounds_to_target
 from fedsvm.model import Model
 
@@ -90,7 +90,7 @@ def test_confusion_counts_pooled_heldout_samples():
     # A fixed-prediction model: zero encoder makes every logit zero and
     # every prediction class 0 by tie-break.
     model = Model([(np.zeros((2, 4)), np.zeros(2))], np.zeros((3, 2)))
-    cm = confusion(model, ds)
+    cm = confusion(model, heldout_pool(ds))
     pool = sum(ds.clients[i][1].size for i in ds.heldout_client_indices)
     assert cm.sum() == pool
     assert cm[:, 0].sum() == pool

@@ -7,6 +7,7 @@ from fedsvm.model import (
     encode,
     init_model,
     logits,
+    loss_and_gradient,
     predict,
 )
 from fedsvm.strategies import pseudo_gradient
@@ -119,6 +120,35 @@ def test_gradients_match_finite_differences():
         if err >= 1e-5:
             failures.append((trial, err))
     assert not failures, failures
+
+
+def test_segment_weights_give_the_weighted_sum_of_segment_gradients():
+    # Three segments of one batch; the weighted form is one vector, the
+    # weighted sum of the per-segment encoder gradients, and keeps each
+    # segment's own logit-matrix gradient.
+    model = small_model(13)
+    x, y = random_batch(model, 13, size=11)
+    bounds = np.array([0, 4, 5, 11])
+    weights = np.array([0.5, 0.2, 0.3])
+    rows = np.empty((3, model.params.size))
+    losses = loss_and_gradient(model, x, y, bounds, rows)
+    total = np.empty(model.params.size)
+    logit_rows = np.empty((3, model.logit_matrix.size))
+    weighted_losses = loss_and_gradient(model, x, y, bounds, total, weights=weights,
+                                        logit_rows=logit_rows)
+    encoder = model.params.size - model.logit_matrix.size
+    assert np.array_equal(weighted_losses, losses)
+    assert np.array_equal(logit_rows, rows[:, encoder:])
+    assert not total[encoder:].any()
+    assert np.abs(total[:encoder] - weights @ rows[:, :encoder]).max() \
+        <= 1e-15 * np.abs(rows).max()
+
+    def weighted_loss(flat):
+        out = np.empty((3, flat.size))
+        return weights @ loss_and_gradient(model.with_params(flat), x, y, bounds, out)
+
+    fd = finite_difference_gradient(weighted_loss, model.params.copy())
+    assert relative_error(total[:encoder], fd[:encoder]) < 1e-5
 
 
 def test_flatten_roundtrip_bit_identical():

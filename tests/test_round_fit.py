@@ -201,6 +201,21 @@ def test_every_pair_is_within_its_gap_of_the_qp_optimum(classes, clients, dim, s
         assert np.linalg.norm(model.normal - x.T @ (alpha * y)) <= gap_radius(model)
 
 
+def test_oracle_dual_never_exceeds_a_feasible_primal_at_tiny_lam():
+    # Every dual coefficient here is below 2e-7. A feasibility tolerance
+    # of 1e-10 * max(1, lam) accepted a face of pair (2, 3) with
+    # |sum(alpha y)| = 7.9e-11 whose dual sat 1.6e-4 (relative) above the
+    # fit's primal, which no feasible dual can do.
+    lam = 5.4e-7
+    embeddings = scaled_round(4, 3, 14, 739, 186)
+    y = np.concatenate((np.ones(3), -np.ones(3)))
+    for (k, kp), model in fit_round(embeddings, lam).models.items():
+        x = np.array([e for e, _ in embeddings[k] + embeddings[kp]])
+        alpha, dual = dual_oracle(x, y, lam)
+        assert abs(alpha @ y) <= 1e-10 * alpha.max(), (k, kp)
+        assert dual <= model.primal_value * (1 + 1e-12), (k, kp)
+
+
 @settings(max_examples=60)
 @given(classes=st.integers(2, 9), clients=st.integers(1, 12), dim=st.integers(1, 69),
        scale=st.floats(1e-3, 1e3), lam=st.floats(1e-3, 1e2), seed=st.integers(0, 2**32 - 1))
