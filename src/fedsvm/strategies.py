@@ -325,8 +325,8 @@ def client_update(global_model: Model, data: Sequence[tuple[Tensor, np.ndarray]]
 
 
 def one_step_update(global_model: Model, data: Sequence[tuple[Tensor, np.ndarray]],
-                    config: ClientConfig, seed: int, t: int,
-                    clients: Sequence[int]) -> tuple[Model, Tensor, Tensor]:
+                    config: ClientConfig, seed: int, t: int, clients: Sequence[int],
+                    average_logits: bool = True) -> tuple[Model, Tensor, Tensor]:
     """``client_update`` and ``fedavg_aggregate`` for a cohort in which
     every client takes exactly one step from the global model: one epoch
     over data that fits in one batch. The proximal term is zero at the
@@ -339,7 +339,9 @@ def one_step_update(global_model: Model, data: Sequence[tuple[Tensor, np.ndarray
     rows forms it, with segment weights ``u_c``, over the clients' rows
     in stored order: a single full batch does not depend on its order.
     Each client's logit matrix is still stepped on its own, and the
-    aggregate's is their ``weighted_mean``.
+    aggregate's is their ``weighted_mean``, or, without
+    ``average_logits``, the global model's, for a strategy that
+    replaces it.
 
     Returns the aggregate (a new buffer), the clients' logit matrices as
     (C, K·d) rows and each client's loss. A failure names its client as
@@ -371,7 +373,8 @@ def one_step_update(global_model: Model, data: Sequence[tuple[Tensor, np.ndarray
     total += theta
     rows *= -lr
     rows += theta[logit_start:]
-    total[logit_start:] = weighted_mean(rows, sizes)
+    if average_logits:
+        total[logit_start:] = weighted_mean(rows, sizes)
     return global_model.with_params(total), rows, losses
 
 
@@ -553,8 +556,11 @@ def run_round(t: int, global_model: Model, dataset, server: ServerState,
     # its logit rows in place; the client rows and the global model are
     # never written.
     if client_config.epochs == 1 and not moon and max(sizes) <= client_config.batch_size:
-        new_model, client_logits, losses = one_step_update(global_model, data, client_config,
-                                                           seed, t, selected)
+        # svm_margin replaces the aggregate's logit matrix, so it skips
+        # their average.
+        new_model, client_logits, losses = one_step_update(
+            global_model, data, client_config, seed, t, selected,
+            average_logits=strategy.kind != SVM_MARGIN)
     else:
         prev = [server.prev_models.get(n, global_model) for n in selected] if moon else None
         params, losses = client_update(global_model, data, client_config, seed, t, selected,

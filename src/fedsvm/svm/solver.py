@@ -55,10 +55,6 @@ DEFAULT_GAP_TOL = 1e-6
 # in margin units (the margin is 1), so this is about the precision of
 # double arithmetic whatever the scale of the samples.
 EPS_FLOOR = 1e-15
-# _pair_tails gathers the problems' samples in stacks of at most this
-# many floats (128 KiB), or of one problem if that is larger, so no
-# stack grows with the number of problems.
-STACK_FLOATS = 1 << 14
 
 
 @dataclass
@@ -162,19 +158,26 @@ def _fit_pairs(samples: Tensor, grams: backend.PairGrams, y: np.ndarray, lam: fl
     sweeps = np.zeros(count, dtype=np.int64)
     history = [[] for _ in range(count)]
     running = np.arange(count)
+    rank = samples.shape[1]
     eps = max(tol, EPS_FLOOR)
     calls = 0
+    lone = None
     while running.size and calls < max_iters:
         if running.size == 1:
+            # Once one problem is left it runs alone to the end of the fit.
             p = running.item()
-            gram = grams.matrix[grams.rows[p][:, None], grams.rows[p]]
-            changed = backend.sweep(gram, y, lam, alphas[p], grad[p], eps)
+            if lone is None:
+                lone = grams.matrix[grams.rows[p][:, None], grams.rows[p]]
+            changed = backend.sweep(lone, y, lam, alphas[p], grad[p], eps, rank)
+        elif running.size == count:
+            changed = np.zeros(count, dtype=np.int64)
+            backend.sweep(grams, y, lam, alphas, grad, eps, rank, changed)
         else:
             run_alphas, run_grad = alphas[running], grad[running]
             changed = np.zeros(running.size, dtype=np.int64)
             backend.sweep(grams._replace(rows=grams.rows[running],
                                          diagonal=grams.diagonal[running]),
-                          y, lam, run_alphas, run_grad, eps, changed)
+                          y, lam, run_alphas, run_grad, eps, rank, changed)
             alphas[running] = run_alphas
             grad[running] = run_grad
         calls += 1
@@ -386,13 +389,14 @@ def _pair_tails(samples: Tensor, rows: np.ndarray, alphas: Tensor, y: np.ndarray
     samples are the ``rows`` of ``samples``: normal, bias, slacks, primal,
     dual, gap and zero threshold, one row or entry per problem. Stacked
     ``matmul`` makes one BLAS call per problem, so a problem's results do
-    not depend on the others in the stack."""
+    not depend on the others in the stack; the samples are gathered in
+    stacks of ``backend.STACK_FLOATS``."""
     count, m = alphas.shape
     alpha_tol = ALPHA_TOL * alphas.max(axis=1)
     weights = alphas * y
     normal = np.empty((count, samples.shape[1]))
     margins = np.empty((count, m))
-    step = max(1, STACK_FLOATS // (m * samples.shape[1]))
+    step = max(1, backend.STACK_FLOATS // (m * samples.shape[1]))
     for start in range(0, count, step):
         part = slice(start, start + step)
         stack = samples[rows[part]]

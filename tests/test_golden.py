@@ -131,8 +131,10 @@ TEXT_GOLDEN = {
             "26872e68d008c7c4d42bb197d7117099645863935f84e7b21257f1e493ea1c4c",
         "d8_c4/summary.txt":
             "596df42588adf2a61d7e11e9361d46879c8996003adc777a59d32ddf422efad2",
+        # One pair fit of seed 1 takes a face step after 16 updates, so
+        # its final_loss moves in the ninth significant digit.
         "d8_c8/summary.csv":
-            "bc210cd32808d7558709a15d9a8e0711353f3d77946c1ba60e7317d8dc0d7f7a",
+            "48364f60e29d9680a4f9781446f2c3258dbb9431abbec4e1156063be38cf8cc0",
         "d8_c8/summary.txt":
             "101f27c2622695937f154a0ef5e862284edc0a513da071079c85f6d98d74a4e9",
         "d16_c4/summary.csv":

@@ -46,11 +46,18 @@ def general_path(model, data, config, seed, t, clients):
     return aggregate, params[:, -model.logit_matrix.size:], losses
 
 
-def assert_paths_agree(model, data, config, seed, t, clients):
-    aggregate, rows, losses = one_step_update(model, data, config, seed, t, clients)
+def assert_paths_agree(model, data, config, seed, t, clients, average_logits=True):
+    aggregate, rows, losses = one_step_update(model, data, config, seed, t, clients,
+                                              average_logits=average_logits)
     want_aggregate, want_rows, want_losses = general_path(model, data, config, seed, t,
                                                           clients)
-    assert np.abs(aggregate.params - want_aggregate.params).max() <= tolerance(model)
+    # Without the logit average the aggregate's logit matrix is the
+    # global model's, which the strategy replaces: only its encoder is read.
+    read = slice(None if average_logits else model.params.size - model.logit_matrix.size)
+    assert (np.abs(aggregate.params[read] - want_aggregate.params[read]).max()
+            <= tolerance(model))
+    if not average_logits:
+        assert np.array_equal(aggregate.logit_matrix, model.logit_matrix)
     assert np.abs(rows - want_rows).max() <= tolerance(model)
     assert np.abs(losses - want_losses).max() <= 1e-12 * max(1.0, np.abs(want_losses).max())
 
@@ -64,14 +71,18 @@ def server(name, total_rounds=6):
     ("fedavg", PROX), ("svm_margin", "vanilla"),
 ], ids=["fedavg", "fedadam", "fedaws", "fedprox", "svm_margin"])
 def test_one_step_aggregate_matches_the_general_path(monkeypatch, name, variant):
-    # Six rounds of the shipped fixture; every round's one-step aggregate
-    # is checked against the general path from the same global model.
+    # Six rounds of the shipped fixture; in every round, what the strategy
+    # reads of the one-step result is checked against the general path
+    # from the same global model: the whole aggregate, or for svm_margin,
+    # which replaces the logit matrix, its encoder and the clients'
+    # logit rows.
     checked = []
 
-    def checking(model, data, config, seed, t, clients):
-        assert_paths_agree(model, data, config, seed, t, clients)
+    def checking(model, data, config, seed, t, clients, **kwargs):
+        assert kwargs.get("average_logits", True) == (name != "svm_margin")
+        assert_paths_agree(model, data, config, seed, t, clients, **kwargs)
         checked.append(t)
-        return one_step_update(model, data, config, seed, t, clients)
+        return one_step_update(model, data, config, seed, t, clients, **kwargs)
 
     monkeypatch.setattr(strategies, "one_step_update", checking)
     dataset = generate_synthetic(SHIPPED.dataset, 0)

@@ -5,7 +5,8 @@ All of them run every pair through the solver's one fit loop.
 one Gram product; ``oracles.round_product_fit`` runs each pair alone on
 that block, so the two agree only if every pair reads its own rows of
 the product and the lockstep kernel updates each pair as the
-one-problem kernel would. ``fit_ovo`` runs one ``fit_binary`` call per
+one-problem kernel would, face steps included (several cases below take
+them, lone or in lockstep). ``fit_ovo`` runs one ``fit_binary`` call per
 pair on the pair's own product, which BLAS rounds like the pair's block
 of the round product except at some shapes. The round entry must
 return the same-product reference's models bit for bit on every case,
@@ -26,6 +27,8 @@ from fedsvm.svm import fit_ovo, fit_round
 
 from oracles import round_product_fit
 from qp_oracle import dual_oracle
+from test_solver_lock import LATE_LAMBDA
+from test_solver_lock import round_embeddings as lock_round
 
 
 def round_embeddings(classes, clients, dim, seed, spread=0.3, scale=1.0):
@@ -85,6 +88,9 @@ CASES = {
     # The shape of test_svm.py::test_ovo_62_classes_pair_count.
     "62_classes": ({k: [(np.array([float(k), float(k % 5)]), 1.0)] for k in range(62)},
                    1.0, {"max_iters": 1, "tol": 1e30}),
+    # test_face_step.py's round of the svm_c32 benchmark shape, whose
+    # pairs take face steps after 16 updates.
+    "face_steps": (lock_round(32, 64, 0.5, 3), LATE_LAMBDA, {}),
 }
 
 

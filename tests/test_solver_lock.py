@@ -31,10 +31,10 @@ CLASSES = 8
 SPREADS = (0.001, 0.005, 0.05, 0.5)
 
 GOLDEN = {
-    ("c8", 1.0): "582375b87d65a9a79f6116e56be87916af7c3d2b0d64b3b289765e10f86580ed",
-    ("c8", LATE_LAMBDA): "ea9c6a28e2607cdf48a359c6a55fd42aca32338303a4f684cd2a9f2fef1b2297",
-    ("c32", 1.0): "c69ef1c7c0bcc78ed9ff91f6bab035f639e5aadbc3e9bc49d7f74dc6c779cadf",
-    ("c32", LATE_LAMBDA): "22942fbae6cf7d6c84165d4489924f3df4d2f06faaa85f4b4c3d259de642f1fd",
+    ("c8", 1.0): "afaef0a447002d3f2fc4536eb04c1f563a826778b2a5f773ae8672d53c8296d8",
+    ("c8", LATE_LAMBDA): "a5884cd5d98e3aed3e7462cb4cb679262bcaf4608c0a09965ea419199661b7d3",
+    ("c32", 1.0): "a651f7f7adba2f66298ed7facbae97bd3a1c7fa3f7017afcb84396b2f96af2fb",
+    ("c32", LATE_LAMBDA): "38200b3b7dddcd541b15f4e759086322f16adb6bc55fe3fa5f91538a02b33688",
 }
 
 
@@ -78,7 +78,7 @@ def test_fit_round_matches_golden_digest(shape, lam):
 # labels in any order and balance, samples from 1e-3 to 1e3, penalties
 # from 1e-3 to 1e4, budgets of 0 to 3 kernel calls and a tight gap.
 BINARY_PROBLEMS = 150
-BINARY_GOLDEN = "10d6d242469091625f0ad7ed012c65b28b319b0db12b2f00744d5aa280a91cfd"
+BINARY_GOLDEN = "3272ebad357722c4d024f394dd3abc62a72601316c69376cff773331c4e2fdfd"
 
 
 def binary_case(seed):
