@@ -54,8 +54,7 @@ class PairGrams(NamedTuple):
     samples, and the same indices are its columns: entry (a, b) of
     problem p's Gram matrix is ``matrix[rows[p, a], rows[p, b]]``,
     whatever the labels. ``diagonal[p]`` is problem p's Gram diagonal,
-    gathered once per fit; a subset of the problems slices it together
-    with ``rows``.
+    gathered once per fit; the kernel slices it by the running set.
     """
 
     matrix: np.ndarray           # N x N
@@ -63,7 +62,7 @@ class PairGrams(NamedTuple):
     diagonal: np.ndarray         # P x M
 
 
-def sweep(gram, y, lam, alpha, grad, eps, rank, changed=None):
+def sweep(gram, y, lam, alpha, grad, eps, rank, changed=None, running=None):
     """Apply WSS2 pair updates until the maximal violation
     ``m(alpha) - M(alpha)`` is at most ``eps``, no selected pair moves,
     or M(M-1)/2 updates have been applied; mutates ``alpha`` and ``grad``
@@ -72,16 +71,24 @@ def sweep(gram, y, lam, alpha, grad, eps, rank, changed=None):
     gram: M x M Gram matrix, K = X X^T; a ``PairGrams`` when ``alpha``
         has a leading problem axis.
     y: labels in {-1, +1} as float64, length M, shared by every problem.
-    alpha: dual coefficients, in [0, lam]; M, or P x M for P problems
-        run in lockstep.
+    alpha: dual coefficients, in [0, lam]; M, or P x M for the P problems
+        of a ``PairGrams``.
     grad: gradient of the dual objective in minimization form,
         ``y * (K @ (alpha * y)) - 1``, maintained incrementally; shaped
         like ``alpha``.
     rank: an upper bound on the rank of every Gram matrix, the samples'
         dimension d; see ``_face_step``.
-    changed: for P problems, an int array of length P that receives each
-        problem's number of updates.
-    Returns the number of pair updates applied, over all problems.
+    changed: for P problems, an int array of length P that receives the
+        number of updates of each running problem.
+    running: for P problems, the indices of those to run in lockstep.
+        The kernel gathers their rows of ``alpha`` and ``grad`` and writes
+        them back itself; the other rows stay as they are.
+    Returns the number of pair updates applied, over the running problems.
+
+    A lone problem comes as a 1-D ``alpha`` with its own M x M ``gram``,
+    not as a running set of one: perfbench's ``_observe_sweep`` reads M
+    as ``len(alpha)``, and ``perfbench/tests/test_tracer.py`` pins
+    ``pair_visits == sweeps * M(M-1)/2`` on ``fit_binary``'s calls.
 
     A problem whose update count in the call reaches 16, 32, 64, ...
     takes an exact step on its current face, ``_face_step``, after that
@@ -92,7 +99,7 @@ def sweep(gram, y, lam, alpha, grad, eps, rank, changed=None):
     limit = m * (m - 1) // 2
     if alpha.ndim == 1:
         return _sweep_one(gram, y, lam, alpha, grad, eps, limit, rank)
-    return _sweep_lockstep(gram, y, lam, alpha, grad, eps, limit, rank, changed)
+    return _sweep_lockstep(gram, y, lam, alpha, grad, eps, limit, rank, changed, running)
 
 
 def _step(ai, aj, yi, yj, gi, gj, a, lam):
@@ -276,8 +283,8 @@ def _moves(ai, aj, yi, yj, gi, gj, a, lam):
     return np.array(moves).reshape(-1, 4)
 
 
-def _sweep_lockstep(grams, y, lam, alpha, grad, eps, limit, rank, changed):
-    """P problems in lockstep, each as ``_sweep_one`` would run it.
+def _sweep_lockstep(grams, y, lam, alpha, grad, eps, limit, rank, changed, running):
+    """The ``running`` problems in lockstep, each as ``_sweep_one`` runs it.
 
     The gradient step ``(ni - ai) * q[i]``, with ``q[i] = K[i] * y[i] * y``,
     is formed as ``((ni - ai) * y[i]) * K[i]`` times ``y`` after the two
@@ -295,11 +302,9 @@ def _sweep_lockstep(grams, y, lam, alpha, grad, eps, limit, rank, changed):
     matrix = grams.matrix
     # Per running problem: its row in alpha, the indices of its Gram rows
     # (also its columns), its Gram diagonal and its curvature floor.
-    live = np.arange(alpha.shape[0])
-    rows = grams.rows
-    diag = grams.diagonal
+    live, rows, diag = running, grams.rows[running], grams.diagonal[running]
     floor = CURVATURE_FLOOR * diag.max(axis=1)
-    a, g = alpha, grad
+    a, g = alpha[live], grad[live]
     steps = 0
     while steps < limit:
         signed = a * y
@@ -350,7 +355,7 @@ def _sweep_lockstep(grams, y, lam, alpha, grad, eps, limit, rank, changed):
         if _face_step_due(steps):
             _face_step(matrix, rows, y, lam, a, g, rank)
     _stop(alpha, grad, changed, live, a, g, slice(None), steps)
-    return int(changed.sum())
+    return int(changed[running].sum())
 
 
 def _stop(alpha, grad, changed, live, a, g, gone, steps):

@@ -138,7 +138,9 @@ def _fit_pairs(samples: Tensor, grams: backend.PairGrams, y: np.ndarray, lam: fl
 
     Each kernel call runs every problem still at or above ``tol`` at one
     violation tolerance: a lone problem as a one-problem ``sweep`` on its
-    own Gram matrix and its rows of the state, several in lockstep. After
+    own Gram matrix and its rows of the state, several as one stacked
+    ``sweep`` on the whole state, which the kernel slices by the running
+    set. A problem's call count is the length of its dual history. After
     the call ``_pair_tails`` computes the running problems' normals,
     biases, slacks and objectives. Returns the normals (P x d), the
     support masks (P x M) and the P ``BinarySvmModel`` records.
@@ -155,7 +157,7 @@ def _fit_pairs(samples: Tensor, grams: backend.PairGrams, y: np.ndarray, lam: fl
     dual = np.zeros(count)
     gap = np.full(count, math.inf)
     alpha_tol = np.zeros(count)
-    sweeps = np.zeros(count, dtype=np.int64)
+    changed = np.zeros(count, dtype=np.int64)
     history = [[] for _ in range(count)]
     running = np.arange(count)
     rank = samples.shape[1]
@@ -168,26 +170,16 @@ def _fit_pairs(samples: Tensor, grams: backend.PairGrams, y: np.ndarray, lam: fl
             p = running.item()
             if lone is None:
                 lone = grams.matrix[grams.rows[p][:, None], grams.rows[p]]
-            changed = backend.sweep(lone, y, lam, alphas[p], grad[p], eps, rank)
-        elif running.size == count:
-            changed = np.zeros(count, dtype=np.int64)
-            backend.sweep(grams, y, lam, alphas, grad, eps, rank, changed)
+            changed[p] = backend.sweep(lone, y, lam, alphas[p], grad[p], eps, rank)
         else:
-            run_alphas, run_grad = alphas[running], grad[running]
-            changed = np.zeros(running.size, dtype=np.int64)
-            backend.sweep(grams._replace(rows=grams.rows[running],
-                                         diagonal=grams.diagonal[running]),
-                          y, lam, run_alphas, run_grad, eps, rank, changed)
-            alphas[running] = run_alphas
-            grad[running] = run_grad
+            backend.sweep(grams, y, lam, alphas, grad, eps, rank, changed, running)
         calls += 1
-        sweeps[running] = calls
         (normal[running], bias[running], slacks[running], primal[running],
          dual[running], gap[running], alpha_tol[running]) = _pair_tails(
             samples, grams.rows[running], alphas[running], y, lam)
         for p, value in zip(running.tolist(), dual[running].tolist()):
             history[p].append(value)
-        done = (gap[running] < tol) | ((changed == 0) & (eps == EPS_FLOOR))
+        done = (gap[running] < tol) | ((changed[running] == 0) & (eps == EPS_FLOOR))
         running = running[~done]
         eps = max(0.01 * eps, EPS_FLOOR)
 
@@ -205,12 +197,11 @@ def _fit_pairs(samples: Tensor, grams: backend.PairGrams, y: np.ndarray, lam: fl
             dual_value=dv,
             duality_gap=gv,
             converged=bool(gv < tol),
-            sweeps=n,
+            sweeps=len(history[p]),
             dual_history=tuple(history[p]),
         )
-        for p, (start, end, b, pv, dv, gv, n) in enumerate(zip(
-            [0] + ends, ends, bias.tolist(), primal.tolist(), dual.tolist(),
-            gap.tolist(), sweeps.tolist()))]
+        for p, (start, end, b, pv, dv, gv) in enumerate(zip(
+            [0] + ends, ends, bias.tolist(), primal.tolist(), dual.tolist(), gap.tolist()))]
     return normal, support, models
 
 

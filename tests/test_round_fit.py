@@ -13,7 +13,8 @@ return the same-product reference's models bit for bit on every case,
 ``fit_ovo``'s wherever the products agree and ``fit_ovo``'s normals to
 within the duality gaps elsewhere, and raise ``fit_ovo``'s pair-named
 errors; a round of the ``svm_c32`` benchmark shape must fit without a
-stack of per-pair M x M matrices.
+stack of per-pair M x M matrices. Each stacked kernel call gets the
+fit's whole state and its running set, and a lone pair its own row.
 """
 
 import tracemalloc
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsvm.svm import fit_ovo, fit_round
+from fedsvm.svm import backend, fit_ovo, fit_round
 
 from oracles import round_product_fit
 from qp_oracle import dual_oracle
@@ -260,6 +261,52 @@ def test_second_kernel_call_case_runs_more_than_one_call():
     sweeps = [m.sweeps for m in fit_round(embeddings, lam, **kwargs).models.values()]
     assert max(sweeps) >= 2
     assert min(sweeps) < max(sweeps)
+
+
+def kernel_calls(case):
+    """``fit_round`` on a case, with each ``backend.sweep`` call's state
+    arrays, running set and state before the call recorded."""
+    embeddings, lam, kwargs = CASES[case]
+    sweep, calls = backend.sweep, []
+
+    def recording_sweep(*args):
+        alpha, grad = args[3:5]
+        before = alpha.copy(), grad.copy()
+        updates = sweep(*args)
+        calls.append((alpha, grad, args[8] if len(args) > 8 else None, before))
+        return updates
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backend, "sweep", recording_sweep)
+        return fit_round(embeddings, lam, **kwargs), calls
+
+
+def test_kernel_calls_take_the_whole_state_and_the_running_set():
+    # Four pairs of many_support_vectors run past the first call, and
+    # two of them past the second; one pair of second_kernel_call
+    # finishes alone. A stacked call gets the fit's own P x M state and
+    # the pairs that the previous call left running, and leaves every
+    # other row as it was; a lone pair gets its own row, of length M.
+    subsets = lone = 0
+    for case in ("many_support_vectors", "second_kernel_call"):
+        svm, calls = kernel_calls(case)
+        models = [svm.models[pair] for pair in svm.pairs()]
+        pairs, m = svm.support.shape
+        for call, (alpha, grad, running, (alpha_before, grad_before)) in enumerate(calls):
+            ran = [p for p, model in enumerate(models) if model.sweeps > call]
+            if alpha.ndim == 1:
+                assert alpha.shape == grad.shape == (m,), (case, call)
+                assert len(ran) == 1 and np.shares_memory(alpha, models[ran[0]].alphas)
+                lone += 1
+                continue
+            assert alpha.shape == grad.shape == (pairs, m), (case, call)
+            assert np.shares_memory(alpha, models[0].alphas), (case, call)
+            assert running.tolist() == ran, (case, call)
+            others = np.setdiff1d(np.arange(pairs), running)
+            assert alpha[others].tobytes() == alpha_before[others].tobytes(), (case, call)
+            assert grad[others].tobytes() == grad_before[others].tobytes(), (case, call)
+            subsets += 1 < len(ran) < pairs
+    assert subsets and lone
 
 
 def raised(fit, embeddings, lam):
