@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -72,9 +73,9 @@ class DatasetConfig:
                 "dataset.feature_dim and dataset.samples_per_client_mean must be positive")
         if self.samples_per_client_spread < 0:
             raise ConfigError("dataset.samples_per_client_spread must be >= 0")
-        if self.dirichlet_alpha <= 0 or self.class_separation <= 0 or self.noise_sigma <= 0:
-            raise ConfigError("dataset.dirichlet_alpha, dataset.class_separation and "
-                              "dataset.noise_sigma must be positive")
+        for key in ("dirichlet_alpha", "class_separation", "noise_sigma", "partition_alpha"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"dataset.{key} must be positive and finite")
         if self.kind not in ("synthetic", "idx"):
             raise ConfigError(f"dataset.kind: expected synthetic or idx, got {self.kind!r}")
         if self.kind == "idx" and not (self.images and self.labels):
@@ -106,6 +107,9 @@ class ClientConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("client.epochs and client.batch_size must be positive")
+        for key in ("learning_rate", "prox_mu", "moon_coeff", "moon_temperature"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"client.{key} must be finite")
         if self.learning_rate < 0:
             raise ConfigError("client.learning_rate must be nonnegative")
         if self.variant not in (VANILLA, PROX, MOON):
@@ -155,11 +159,13 @@ class StrategyConfig:
         if self.server_optimizer not in (SGD, ADAM, AMSGRAD):
             raise ConfigError(f"strategy.server_optimizer must be one of "
                               f"{(SGD, ADAM, AMSGRAD)}, got {self.server_optimizer!r}")
+        if not math.isfinite(self.learning_rate):
+            raise ConfigError("strategy.server_learning_rate must be finite")
         if self.kind != FEDAVG and self.learning_rate <= 0:
             raise ConfigError("strategy.server_learning_rate must be positive")
-        if self.svm_penalty_initial <= 0 or self.svm_penalty_floor <= 0:
-            raise ConfigError("strategy.svm_penalty_initial and strategy.svm_penalty_floor "
-                              "must be positive")
+        for key in ("svm_penalty_initial", "svm_penalty_floor"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"strategy.{key} must be positive and finite")
         if self.svm_penalty_schedule not in (DECREASING, INCREASING):
             raise ConfigError("strategy.svm_penalty_schedule must be decreasing or increasing")
         if self.reg_steps < 0:

@@ -90,8 +90,7 @@ def generate_synthetic(spec: DatasetConfig, seed: int) -> FederatedDataset:
 
 
 def partition_by_client(features: Tensor, labels: np.ndarray, num_clients: int,
-                        dirichlet_alpha: float, seed: int,
-                        num_classes: int | None = None) -> FederatedDataset:
+                        dirichlet_alpha: float, seed: int) -> FederatedDataset:
     """Label-skewed partition of a flat dataset via per-class Dirichlet
     proportions. Every input sample is assigned exactly once; clients
     that come out empty are re-seeded with one sample from the largest
@@ -106,8 +105,7 @@ def partition_by_client(features: Tensor, labels: np.ndarray, num_clients: int,
                          "one to train and one held out")
     if n < num_clients:
         raise ValueError(f"fewer samples ({n}) than clients ({num_clients})")
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1
+    num_classes = int(labels.max()) + 1
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     assignments: list[list[int]] = [[] for _ in range(num_clients)]

@@ -16,7 +16,10 @@ floats), and a problem leaves the batch at the iteration where it would
 stop on its own. The batched problems read their Gram rows from one shared
 matrix (``PairGrams``) rather than holding an M x M matrix each. A lone
 remaining problem finishes in the one-problem loop, which is cheaper per
-update. Either way each problem sees the same arithmetic, bit for bit.
+update. Both loops run one iteration: the working sets are read from
+``alpha * y`` and the gradient takes the same step, so a problem handed
+from one to the other mid-call continues bit for bit by construction;
+they differ only in that the one-problem loop reads its own M x M block.
 
 SMO can zig-zag for many updates on a support set that is already final.
 So a problem whose update count within one call reaches 16, 32, 64, ...
@@ -142,21 +145,17 @@ def _sweep_one(gram, y, lam, alpha, grad, eps, limit, rank, changed=0):
     diag = np.diagonal(gram)
     curvature = np.maximum(diag[:, None] + diag - 2.0 * gram,
                            CURVATURE_FLOOR * float(diag.max()))
-    q = gram * (y[:, None] * y)
+    up_cap, low_floor = _caps(y, lam)
     neg_y = -y
-    positive = y > 0
-    below_cap = alpha < lam
-    above_zero = alpha > 0.0
-    up = np.where(positive, below_cap, above_zero)
-    low = np.where(positive, above_zero, below_cap)
     # The per-update bookkeeping runs on Python scalars, which cost a
     # fraction of numpy scalars at these sizes.
     labels = y.tolist()
     while changed < limit:
+        signed = alpha * y
         score = neg_y * grad
-        up_score = np.where(up, score, -np.inf)
+        up_score = np.where(signed < up_cap, score, -np.inf)
         i = int(up_score.argmax())
-        violation = up_score[i] - np.where(low, score, np.inf)
+        violation = up_score[i] - np.where(signed > low_floor, score, np.inf)
         # The entry at the argmax is the maximum (a NaN included), read
         # without a reduction.
         if not violation[violation.argmax()] > eps:
@@ -171,23 +170,24 @@ def _sweep_one(gram, y, lam, alpha, grad, eps, limit, rank, changed=0):
                        curvature.item(i, j), lam)
         if ni == ai and nj == aj:
             break
-        grad += (ni - ai) * q[i] + (nj - aj) * q[j]
+        step = ((ni - ai) * yi) * gram[i]
+        step += ((nj - aj) * yj) * gram[j]
+        step *= y
+        grad += step
         alpha[i] = ni
         alpha[j] = nj
-        if yi > 0:
-            up[i], low[i] = ni < lam, ni > 0.0
-        else:
-            up[i], low[i] = ni > 0.0, ni < lam
-        if yj > 0:
-            up[j], low[j] = nj < lam, nj > 0.0
-        else:
-            up[j], low[j] = nj > 0.0, nj < lam
         changed += 1
         if _face_step_due(changed):
-            # An accepted step keeps every coefficient on its side of
-            # the bounds, so I_up and I_low stand.
             _face_step(gram, np.arange(y.size)[None], y, lam, alpha[None], grad[None], rank)
     return changed
+
+
+def _caps(y, lam):
+    """The bounds on ``alpha * y`` that give the sets I_up and I_low: a
+    coefficient may move along y where ``alpha * y`` is below the first,
+    and against y where it is above the second."""
+    positive = y > 0
+    return np.where(positive, lam, 0.0), np.where(positive, 0.0, -lam)
 
 
 def _face_step_due(changed):
@@ -284,21 +284,13 @@ def _moves(ai, aj, yi, yj, gi, gj, a, lam):
 
 
 def _sweep_lockstep(grams, y, lam, alpha, grad, eps, limit, rank, changed, running):
-    """The ``running`` problems in lockstep, each as ``_sweep_one`` runs it.
-
-    The gradient step ``(ni - ai) * q[i]``, with ``q[i] = K[i] * y[i] * y``,
-    is formed as ``((ni - ai) * y[i]) * K[i]`` times ``y`` after the two
-    rows are summed: sign flips are exact, so the step is the same up to
-    the sign of a zero, which no comparison or update can see. Every
-    running problem has made the same number of updates, so they take
-    their face steps together.
+    """The ``running`` problems in lockstep, each through the iteration
+    of ``_sweep_one``, on Gram rows gathered from the shared matrix.
+    Every running problem has made the same number of updates, so they
+    take their face steps together.
     """
-    positive = y > 0
+    up_cap, low_floor = _caps(y, lam)
     neg_y = -y
-    # y * alpha is below up_cap where alpha may move along y, and above
-    # low_floor where it may move against y: the sets I_up and I_low.
-    up_cap = np.where(positive, lam, 0.0)
-    low_floor = np.where(positive, 0.0, -lam)
     matrix = grams.matrix
     # Per running problem: its row in alpha, the indices of its Gram rows
     # (also its columns), its Gram diagonal and its curvature floor.

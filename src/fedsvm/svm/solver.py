@@ -75,8 +75,8 @@ class SvmProblem:
             raise ValueError("labels must be +-1, one per sample")
         if positives in (0, m):
             raise ValueError("both labels must be present")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
         check_finite(self.samples, "samples")
 
 
@@ -330,7 +330,7 @@ def fit_round(class_embeddings, lam: float, max_iters: int | None = None,
     floors = backend.CURVATURE_FLOOR * grams.diagonal.max(axis=1)
     # Non-finite samples make a non-finite diagonal, so the matrix check
     # covers them.
-    if (lam <= 0 or _identical_pair(x) or not np.isfinite(grams.matrix).all()
+    if (not 0 < lam < math.inf or _identical_pair(x) or not np.isfinite(grams.matrix).all()
             or not (floors > 0.0).all()):
         _check_pairs(x, grams, pairs, y, lam)
     normals, support, models = _fit_pairs(x.reshape(num_classes * clients, -1), grams, y,

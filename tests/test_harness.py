@@ -1,10 +1,13 @@
 import configparser
 import csv
+import dataclasses
+import math
 import os
 import signal
 import subprocess
 import sys
 import time
+import typing
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 import fedsvm
+from fedsvm import config
 from fedsvm.cli import main as cli_main
 from fedsvm.config import (
     ConfigError,
@@ -186,6 +190,7 @@ def test_dataset_and_model_built_in_code_are_checked():
     ("client", "epochs", lambda cfg: replace(cfg.client, epochs=0)),
     ("strategy", "reg_steps", lambda cfg: replace(cfg.strategy, reg_steps=-1)),
     ("dataset", "clients", lambda cfg: replace(cfg.dataset, clients=1)),
+    ("dataset", "partition_alpha", lambda cfg: replace(cfg.dataset, partition_alpha=-1.0)),
     ("model", "embedding_dim", lambda cfg: replace(cfg.model, embedding_dim=0)),
     ("run", "rounds", lambda cfg: replace(cfg, rounds=0)),
 ])
@@ -194,6 +199,32 @@ def test_every_section_checks_itself_with_one_error_type(section, key, change):
     # that names the offending INI key.
     with pytest.raises(ConfigError, match=rf"\b{section}\.{key}\b"):
         change(RunConfig())
+
+
+# (section, key) of every float field of every section, float | None
+# included, so a float key added later is covered.
+FLOAT_KEYS = [(section, f.name) for section, cls in config._SECTIONS.items()
+              for f in dataclasses.fields(cls)
+              if float in (hint := typing.get_type_hints(cls)[f.name],
+                           *typing.get_args(hint))]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("section,key", FLOAT_KEYS)
+def test_every_float_key_must_be_finite(section, key, value):
+    # Whatever the variant or strategy: a NaN passes every sign rule,
+    # and a NaN penalty would run every round at the floor.
+    with pytest.raises(ConfigError, match=rf"\b{section}\.{key}\b"):
+        config._SECTIONS[section](**{key: value})
+
+
+def test_non_finite_penalty_in_a_shipped_config_is_a_config_error(tmp_path):
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "synthetic_svm_margin.ini"
+    text = shipped.read_text().replace("svm_penalty_initial = 1.0", "svm_penalty_initial = nan")
+    assert "= nan" in text
+    path = tmp_path / "nan_penalty.ini"
+    path.write_text(text)
+    assert cli_main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
 
 
 def test_largest_accepted_participation_is_the_train_client_count():

@@ -196,8 +196,11 @@ def test_problem_validation():
         SvmProblem(np.zeros((1, 2)), np.array([1.0]), 1.0)
     with pytest.raises(ValueError):
         SvmProblem(np.zeros((2, 2)), np.array([1.0, 1.0]), 1.0)
-    with pytest.raises(ValueError):
-        SvmProblem(np.eye(2), np.array([1.0, -1.0]), 0.0)
+    # A NaN penalty would fit all-zero coefficients, and an infinite one
+    # would fail in the arithmetic after the kernel call.
+    for lam in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"^lam must be positive and finite$"):
+            fit(np.eye(2), [1.0, -1.0], lam)
 
 
 # ---------------------------------------------------------------------------
